@@ -7,8 +7,7 @@ from .closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
                       REFLECTING, AlgebraicOperator, ClosureConfig,
                       ClosureEngine, KnowledgeBase, closure_members,
                       infer_failed, infer_satisfied)
-from .coalgebra import (System, adapt_nondeterministic, behaviour_prefix,
-                        behaviour_system, iterate)
+from .coalgebra import System, behaviour_prefix, behaviour_system, iterate
 from .formula import (ASSERT, REFUTE, TABLE, FormulaTable, Property,
                       formula_similarity)
 from .predicate import (BoolSpace, Complement, Empty, FiniteSet, FiniteSpace,

@@ -232,7 +232,14 @@ def cmd_check(args):
     if args.state is not None:
         if args.model not in ("dial", "lock"):
             raise ConfigError("--state supports only dial and lock")
-        x0 = int(args.state)
+        try:
+            x0 = int(args.state)
+        except ValueError:
+            x0 = None
+        # a dial or lock state is the value it shows
+        if x0 not in sys_.observation_space.values:
+            raise ConfigError("--state %s is not a state of %s"
+                              % (args.state, sys_.name))
     ctx = SyntaxContext(sys_.observation_space, sys_.input_pred)
     try:
         prop = parse_property(args.property, ctx)

@@ -95,26 +95,6 @@ class AlgebraicOperator:
         return (self.state_map(x), self.map_formula(f))
 
 
-def force_transition_operator(sys, i, table=TABLE):
-    """The operator that forces the behaviour of x along input i:
-    (x, f) -> (step(x,i), next(f,i) & <observe(step(x,i))>).
-
-    Preserving only: its definition reads the concrete successor's
-    observation, so no inverse exists in general."""
-
-    def transform(pair):
-        x, f = pair
-        y = sys.step(x, i)
-        g = table.mk_and([table.next(f, i), table.mk_obs(sys.observe(y))])
-        return (y, g)
-
-    op = AlgebraicOperator("force[%r]" % (i,), None, None, PRESERVING,
-                           bijective=False, table=table)
-    op.apply = transform
-    op.map_formula = None
-    return op
-
-
 class KnowledgeBase:
     """Confirmed-satisfying pairs R and confirmed-failing pairs F,
     threaded across verification runs.  R holds only pairs committed by

@@ -1,13 +1,11 @@
 """Systems as coalgebras: an observation map into predicates plus an
-input-indexed transition map, with adapters and finite behaviour prefixes.
+input-indexed transition map, with finite behaviour prefixes.
 
 A System is deliberately opaque to the verification engine: states only
 need to be hashable and equality-comparable, `observe` returns a
 Predicate over the observation space, and `step` is total on the input
 alphabet for every reachable state.
 """
-
-from .predicate import FiniteSet, Predicate
 
 
 class UnknownInput(ValueError):
@@ -92,48 +90,6 @@ def behaviour_prefix(sys, x, k):
                 nxt.append((w2, y2))
         frontier = nxt
     return BehaviourPrefix(k, entries)
-
-
-class NondetAdapter:
-    """A nondeterministic system: step yields a finite set of states."""
-
-    def __init__(self, name, inputs, observe, step_set, observation_space=None):
-        self.name = name
-        self.inputs = tuple(inputs)
-        self.observe = observe
-        self.step_set = step_set
-        self.observation_space = observation_space
-
-
-def adapt_nondeterministic(nd):
-    """Powerset construction: adapted states are canonical finite sets of
-    underlying states, observations are unions, transitions are unions of
-    member successor sets."""
-
-    def observe(states):
-        space = None
-        values = set()
-        for x in states:
-            p = nd.observe(x)
-            if not isinstance(p, FiniteSet):
-                raise TypeError("nondeterministic adaptation needs finite "
-                                "member observations, got %r" % (p,))
-            space = p.space
-            values |= p.values
-        return FiniteSet(space, frozenset(values))
-
-    def step(states, i):
-        out = set()
-        for x in states:
-            out |= set(nd.step_set(x, i))
-        return frozenset(out)
-
-    return System("powerset(%s)" % nd.name, nd.inputs, observe, step,
-                  observation_space=nd.observation_space)
-
-
-def singleton_state(x):
-    return frozenset((x,))
 
 
 class _BehaviourState:

@@ -12,8 +12,6 @@ Normalization at construction keeps the set of formulae reachable via
 left-associated with duplicates removed.
 """
 
-import threading
-
 from .predicate import (Universe, member, intersect, subset, Undecidable)
 
 # node tags
@@ -24,7 +22,6 @@ class FormulaTable:
     """Process-wide hash-cons store.  FormulaIds are indices into _nodes."""
 
     def __init__(self):
-        self._lock = threading.RLock()
         self._ids = {}
         self._nodes = []
         self._obs_cache = {}
@@ -33,13 +30,12 @@ class FormulaTable:
         self._subst_cache = {}
 
     def _intern(self, node):
-        with self._lock:
-            fid = self._ids.get(node)
-            if fid is None:
-                fid = len(self._nodes)
-                self._ids[node] = fid
-                self._nodes.append(node)
-            return fid
+        fid = self._ids.get(node)
+        if fid is None:
+            fid = len(self._nodes)
+            self._ids[node] = fid
+            self._nodes.append(node)
+        return fid
 
     def node(self, fid):
         return self._nodes[fid]

@@ -15,8 +15,14 @@ from .predicate import (BoolSpace, Complement, FiniteSet, FiniteSpace,
                         ScaledLine, Universe)
 
 
-def _always(table, pred, input_space_pred):
-    return table.mk_always(table.mk_obs(pred), input_space_pred)
+def _eventually(sys, n, name, table=TABLE):
+    """F <.= n> as Refute(G <. != n>): some input sequence makes the
+    scalar observation read n."""
+    space = sys.observation_space
+    body = table.mk_always(
+        table.mk_obs(Complement(space, FiniteSet(space, frozenset((n,))))),
+        sys.input_pred)
+    return Property(name, REFUTE, body)
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +46,8 @@ def dial_model():
 
 
 def dial_eventually(sys, n, table=TABLE):
-    """F <.= n> as Refute(G <. != n>)."""
-    body = _always(table, Complement(sys.observation_space,
-                                     FiniteSet(sys.observation_space,
-                                               frozenset((n,)))),
-                   sys.input_pred)
-    return Property("F[.=%d]" % n, REFUTE, body)
+    """F <.= n>: the dial eventually shows n."""
+    return _eventually(sys, n, "F[.=%d]" % n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +83,6 @@ def lock_model(digits=4):
                  observe_value=lambda x: x)
     sys.input_pred = Universe(FiniteSpace(frozenset(inputs)))
     sys.digits = digits
-    sys.state_count = n
     return sys
 
 
@@ -125,15 +126,8 @@ def lock_operators(digits=4, names=None):
 
 def lock_properties(sys, table=TABLE):
     """[Refute(G <. != n>) for n ascending]: 'some input sequence shows n'."""
-    props = []
-    for x in sorted(sys.observation_space.values):
-        body = _always(table,
-                       Complement(sys.observation_space,
-                                  FiniteSet(sys.observation_space,
-                                            frozenset((x,)))),
-                       sys.input_pred)
-        props.append(Property("F[.=%0*d]" % (sys.digits, x), REFUTE, body))
-    return props
+    return [_eventually(sys, x, "F[.=%0*d]" % (sys.digits, x), table)
+            for x in sorted(sys.observation_space.values)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +186,7 @@ def puzzle_swap():
 
 def puzzle_property(sys, n, table=TABLE):
     """F <.= n>: the accumulator eventually shows n."""
-    body = _always(table, Complement(sys.observation_space,
-                                     FiniteSet(sys.observation_space,
-                                               frozenset((n,)))),
-                   sys.input_pred)
-    return Property("F[.=%d]" % n, REFUTE, body)
+    return _eventually(sys, n, "F[.=%d]" % n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +332,23 @@ def swat_attacks(sys, b_bias=200, b_stealth=500):
 
 def attack_kinds(sys):
     """Attack constructors available for a model, keyed by kind name;
-    each takes a params dict (used by the attacker configuration file)."""
+    each takes a params dict (used by the attacker configuration file).
+    An attack is named after its kind and parameter, so that two attacks
+    of one attacker get two rows of its capability report."""
     if sys.name.startswith("swat"):
         def surge(params):
-            return swat_attacks(sys)["alpha"]
+            return Attack("surge", state_transform=swat_attacks(sys)[
+                "alpha"].state_transform)
 
         def bias(params):
-            return swat_attacks(sys, b_bias=int(params.get("b", 200)))["beta"]
+            b = int(params.get("b", 200))
+            return Attack("bias[%d]" % b, state_transform=swat_attacks(
+                sys, b_bias=b)["beta"].state_transform)
 
         def stealthy(params):
-            return swat_attacks(sys,
-                                b_stealth=int(params.get("b", 500)))["gamma"]
+            b = int(params.get("b", 500))
+            return Attack("stealthy[%d]" % b, state_transform=swat_attacks(
+                sys, b_stealth=b)["gamma"].state_transform)
 
         return {"surge": surge, "bias": bias, "stealthy": stealthy}
     if sys.name == "dial":

@@ -319,6 +319,12 @@ def subset(p, q):
         return True
     if isinstance(q, Intersection):
         return all(subset(p, part) for part in q.parts)
+    if isinstance(p, Interval) and not p.space.is_finite():
+        # decided without enumerating the interval's points
+        if isinstance(q, Interval):
+            return q.lo <= p.lo and p.hi <= q.hi
+        if isinstance(q, Complement) and isinstance(q.inner, FiniteSet):
+            return not any(p.lo <= v <= p.hi for v in q.inner.values)
     ext = _finite_extent(p)
     if ext is not None:
         return all(member(q, o) for o in ext)
@@ -330,15 +336,6 @@ def subset(p, q):
                 return len(qc) == 0
         if isinstance(q, Empty) or isinstance(q, FiniteSet) or isinstance(q, Interval):
             return False
-    if isinstance(p, Interval):
-        if isinstance(q, Interval):
-            return q.lo <= p.lo and p.hi <= q.hi
-        if isinstance(q, FiniteSet):
-            return False  # an interval of >1 quanta may still be finite; handled by extent above
-        if isinstance(q, Complement):
-            qc = _finite_extent(q.inner)
-            if qc is not None:
-                return not any(p.lo <= v <= p.hi for v in qc)
     if isinstance(p, Complement):
         pc = _finite_extent(p.inner)
         if pc is not None:

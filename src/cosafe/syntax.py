@@ -124,12 +124,21 @@ class _Parser:
             return Property("F", REFUTE, body)
         if self.peek() == "!":
             self.take()
-            f = self.formula()
-            self.done()
-            return Property("!", REFUTE, f)
+            return Property("!", REFUTE, self.whole_formula())
+        return Property("assert", ASSERT, self.whole_formula())
+
+    def whole_formula(self):
+        """A formula that ends the input and is closed and guarded, so
+        that its semantics are defined (and unfolding terminates)."""
         f = self.formula()
         self.done()
-        return Property("assert", ASSERT, f)
+        t = self.ctx.table
+        if not t.is_closed(f):
+            raise FormulaSyntaxError("'v' outside any 'nu v.'")
+        if not t.is_guarded(f):
+            raise FormulaSyntaxError("'v' must sit under a box '[...]' "
+                                     "inside its 'nu v.'")
+        return f
 
     # -- formulae --------------------------------------------------------
 
@@ -267,10 +276,7 @@ def parse_property(text, ctx):
 
 
 def parse_formula(text, ctx):
-    p = _Parser(text, ctx)
-    f = p.formula()
-    p.done()
-    return f
+    return _Parser(text, ctx).whole_formula()
 
 
 # ---------------------------------------------------------------------------

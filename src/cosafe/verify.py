@@ -1,14 +1,15 @@
-"""The core worklist verifier and the multi-property driver.
+"""The verifier and the multi-property driver.
 
 One run decides whether a state satisfies a safety formula by trying to
-build a simulation up-to-precongruence: a worklist (a stack, so the
-search is depth-first) of (state, formula) pairs is processed one at a
-time; a pair already derivable from accumulated knowledge is skipped, a
-pair whose closure meets the failing set refutes the query, an
-observation mismatch is a direct counterexample, and otherwise the pair
-joins the tentative satisfying relation and its successors are scheduled
-(suspected-failing successors are pushed on top so the counterexample
-path is prioritized).
+build a simulation up-to-precongruence, in one depth-first search over
+nodes.  A node is a bare state when the formula is its own obligation
+after every input (as G <Q> is), and a (state, formula) pair
+otherwise.  A popped node that knowledge shows failing refutes the query;
+one that knowledge shows satisfied is skipped; one whose observation the
+formula does not allow is a direct counterexample; otherwise it joins
+the tentative satisfying relation and its successors are pushed (a
+successor suspected of failing is pushed last, so the counterexample
+path is followed first).
 
 On success the tentative relation is committed to the knowledge base; on
 failure it is discarded and only the direct counterexample persists --
@@ -16,11 +17,10 @@ so failing properties re-explore states across runs, which is exactly
 what the exploration statistics measure.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .closure import BOTH, IMAGE, LITERAL, ClosureEngine
-from .formula import ASSERT, REFUTE, TABLE
+from .formula import ASSERT
 from .predicate import FiniteSet, member, member_fn, subset
 
 HOLDS = "Holds"
@@ -79,277 +79,199 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS):
         engine = ClosureEngine(cfg)
         engine.load(kb)
 
-    stats = Stats()
     reach = table.reachable(psi0, sys.inputs)
-    implied = {f: cfg.implied_by(f) for f in reach}
     implicants = {f: cfg.implicants_of(f) for f in reach}
-    obs_check = {f: _observe_member_fn(table.obs(f)) for f in reach}
-    next_of = {f: tuple(table.next(f, i) for i in sys.inputs) for f in reach}
+    # each formula's observation check, compiled once
+    observe = sys.observe_value
+    if observe is not None:
+        checks = {f: member_fn(table.obs(f)) for f in reach}
+    else:
+        observe = sys.observe
+        checks = {f: _observe_member_fn(table.obs(f)) for f in reach}
+    successors = sys.successors
+
+    if reach == {psi0}:
+        # psi0 is its own obligation after every input (as G <Q> is): a
+        # node is a bare state
+        node0 = x0
+        check = checks[psi0]
+        expand = successors
+
+        def ok(x):
+            return check(observe(x))
+
+        def node_of(x, f):
+            return x
+
+        def pair_of(x):
+            return (x, psi0)
+    else:
+        # a node is a (state, formula) pair
+        node0 = (x0, psi0)
+        next_of = {f: tuple(table.next(f, i) for i in sys.inputs)
+                   for f in reach}
+
+        def ok(node):
+            return checks[node[1]](observe(node[0]))
+
+        def expand(node):
+            return zip(successors(node[0]), next_of[node[1]])
+
+        def node_of(x, f):
+            return (x, f)
+
+        def pair_of(node):
+            return node
 
     # Failure knowledge is frozen for the duration of one run (the run
-    # ends the moment anything is added), so snapshot the failing-state
-    # sets per reachable formula.
-    fail_states = {}
-    for f in reach:
-        s = set()
-        for g in implied[f]:
-            s |= engine.fail_index.get(g, set())
-        fail_states[f] = s or None
-
+    # ends the moment anything is added), so the failing nodes are
+    # collected up front.
     mode = cfg.failure_mode
+    failing = set()
+    if mode in (IMAGE, BOTH):
+        for f in reach:
+            for g in cfg.implied_by(f):
+                for x in engine.fail_index.get(g, ()):
+                    failing.add(node_of(x, f))
     use_lit = mode == LITERAL or (mode == BOTH and
                                   (engine.literal_ops or cfg.state_sim))
-    use_img = mode in (IMAGE, BOTH)
 
-    def suspect_failing(pair):
-        if use_img:
-            s = fail_states[pair[1]]
-            if s is not None and pair[0] in s:
-                return True
-        if use_lit:
-            return engine.fail_hit_literal(pair)
-        return False
+    def lit_fails(node):
+        return engine.fail_hit_literal(pair_of(node))
 
-    # Operators eligible for the tentative-relation closure: equivariant
-    # only (skipping an unexplored subtree on the strength of an
-    # unconfirmed pair needs an operator that also reflects
-    # satisfaction).  Operators whose formula images can never match a
-    # query of this run are dropped up front -- an exact optimization.
-    queryable = set()
+    # Tentatively satisfying pairs are closed under implication and under
+    # equivariant operators only: skipping an unexplored subtree on the
+    # strength of an unconfirmed pair needs an operator that also
+    # reflects satisfaction.  lifts[h] lists the formulae of this run
+    # that h implies; an image whose formula implies none of them is
+    # never queried, and an operator that makes only such images is
+    # dropped.
+    lifts = {}
     for f in reach:
-        queryable |= implicants[f]
+        for h in implicants[f]:
+            lifts.setdefault(h, []).append(f)
     tent_ops = []
     for op in cfg.operators:
         if not (op.preserves() and op.reflects()):
             continue
         try:
-            if any(op.map_formula(f) in queryable for f in reach):
+            if any(op.map_formula(f) in lifts for f in reach):
                 tent_ops.append(op)
         except ValueError:
             pass
-    tent_depth = cfg.depth
+    closing = bool(tent_ops) or any(len(implicants[f]) > 1 for f in reach)
 
     sat_committed = engine.sat_index
     state_sim = cfg.state_sim
 
-    def committed_sat(x, want):
-        xs = (x,) if not state_sim else (x, *state_sim.get(x, ()))
-        for y in xs:
+    def committed(node):
+        x, f = pair_of(node)
+        want = implicants[f]
+        for y in (x,) if not state_sim else (x, *state_sim.get(x, ())):
             have = sat_committed.get(y)
             if have and not want.isdisjoint(have):
                 return True
         return False
 
-    tent_index = {}
-    processed = set()
-    todo = deque([(x0, psi0)])
-    enqueued = {(x0, psi0)}
-    observe = sys.observe
-    successors = sys.successors
-    check_committed = bool(sat_committed)
-
-    # A formula whose obligation is itself after every input (e.g. any
-    # G-formula over the full alphabet) turns the run into a pure state
-    # search: no knowledge can fire mid-run beyond the precomputed
-    # failing-state set, so a specialized loop applies.
-    if (len(reach) == 1 and not tent_ops and not check_committed
-            and not use_lit and implicants[psi0] == {psi0}):
-        return _verify_single(sys, x0, psi0, kb, engine, stats,
-                              fail_states[psi0], obs_check[psi0], max_pairs)
-
-    def finish(outcome, counterexample=None, witness=None):
-        v = Verdict(outcome, counterexample, witness, stats)
-        if outcome == HOLDS:
-            for pair in processed:
-                kb.R.add(pair)
-                engine.note_satisfied(pair)
-        elif outcome == FAILS:
-            kb.F.add(counterexample)
-            engine.note_failed(counterexample)
-        return (v, kb)
-
-    while todo:
-        pair = todo.pop()
-        if pair in processed:
-            continue
-        x, f = pair
-        # suspected failing: closure of the pair meets F
-        if suspect_failing(pair):
-            stats.pairs_explored += 1
-            stats.closure_hits += 1
-            return finish(INFERRED_FAILS, witness=pair)
-        # already derivable from satisfying knowledge?
-        want = implicants[f]
-        ti = tent_index.get(x)
-        if ti is not None and not want.isdisjoint(ti):
-            stats.closure_hits += 1
-            continue
-        if check_committed and committed_sat(x, want):
-            stats.closure_hits += 1
-            continue
-        stats.pairs_explored += 1
-        if stats.pairs_explored > max_pairs:
-            return finish(UNKNOWN)
-        # observation inclusion
-        stats.subset_checks += 1
-        if not obs_check[f](observe(x)):
-            return finish(FAILS, counterexample=pair)
-        # tentatively satisfying; schedule successors
-        processed.add(pair)
-        ts = tent_index.setdefault(x, set())
-        ts.add(f)
-        if tent_ops:
-            frontier = [pair]
-            for _ in range(tent_depth):
-                nxt = []
-                for p in frontier:
-                    for op in tent_ops:
-                        q = op.apply(p)
-                        tent_index.setdefault(q[0], set()).add(q[1])
-                        nxt.append(q)
-                frontier = nxt
-        nf = next_of[f]
-        for idx, y in enumerate(successors(x)):
-            g = nf[idx]
-            sp = (y, g)
-            if suspect_failing(sp):
-                # prioritized counterexample path: push on top
-                todo.append(sp)
-                break
-            if sp in processed:
-                continue
-            tj = tent_index.get(y)
-            wg = implicants[g]
-            if tj is not None and not wg.isdisjoint(tj):
-                stats.closure_hits += 1
-                continue
-            if check_committed and committed_sat(y, wg):
-                stats.closure_hits += 1
-                continue
-            if sp not in enqueued:
-                enqueued.add(sp)
-                todo.append(sp)
-    return finish(HOLDS)
-
-
-def _verify_single(sys, x0, f, kb, engine, stats, fail_set, obs_check,
-                   max_pairs):
-    """Specialized run for a self-obligating formula: a FIFO search over
-    states only, semantically identical to the general loop (same pop
-    order, same statistics, same knowledge-base updates)."""
-    ov = sys.observe_value
-    if ov is not None:
-        m = member_fn(engine.cfg.table.obs(f))
-
-        def ok(x):
-            return m(ov(x))
-    else:
-        observe = sys.observe
-
-        def ok(x):
-            return obs_check(observe(x))
-
-    successors = sys.successors
-    n_states = getattr(sys, "state_count", None)
-    dense = n_states is not None and isinstance(x0, int)
-    pops = 0
-    subs = 0
-
-    def close(outcome, counterexample=None, witness=None, hit=0):
-        stats.pairs_explored += pops
-        stats.subset_checks += subs
-        stats.closure_hits += hit
-        if outcome == HOLDS:
-            if dense:
-                it = (i for i in range(n_states) if done[i])
-            else:
-                it = iter(done)
-            for x in it:
-                kb.R.add((x, f))
-                engine.note_satisfied((x, f))
-        elif outcome == FAILS:
-            kb.F.add(counterexample)
-            engine.note_failed(counterexample)
-        return (Verdict(outcome, counterexample, witness, stats), kb)
-
-    todo = [x0]
-    pop = todo.pop
-    append = todo.append
-    if dense:
-        done = bytearray(n_states)
-        seen = bytearray(n_states)
-        seen[x0] = 1
-        fs = bytearray(n_states)
-        for s in (fail_set or ()):
-            fs[s] = 1
-        while todo:
-            x = pop()
-            if done[x]:
-                continue
-            if fs[x]:
-                pops += 1
-                return close(INFERRED_FAILS, witness=(x, f), hit=1)
-            pops += 1
-            if pops > max_pairs:
-                return close(UNKNOWN)
-            subs += 1
-            if not ok(x):
-                return close(FAILS, counterexample=(x, f))
-            done[x] = 1
-            for y in successors(x):
-                if fs[y]:
-                    append(y)
-                    break
-                if not seen[y]:
-                    seen[y] = 1
-                    append(y)
-        return close(HOLDS)
-
     done = set()
-    seen = {x0}
-    fs = fail_set or frozenset()
+    # without a closure the derivable nodes are just the done ones
+    derivable = set() if closing else done
+
+    def derive(pair):
+        for f in lifts.get(pair[1], ()):
+            derivable.add(node_of(pair[0], f))
+
+    # a node that knowledge shows satisfied is skipped, as a closure hit
+    knows = closing or bool(sat_committed)
+
+    def known(node):
+        return node in derivable or (sat_committed and committed(node))
+
+    # Depth-first: a successor suspected of failing is pushed last and
+    # ends the expansion, so the counterexample path is followed first.
+    # Any other node is pushed at most once (when first seen), so a
+    # popped node is never done yet.
+    todo = [node0]
+    seen = {node0}
+    pop = todo.pop
+    push = todo.append
+    mark_done = done.add
+    mark_seen = seen.add
+    explored = hits = 0
+    outcome, counterexample, witness = HOLDS, None, None
     while todo:
-        x = pop()
-        if x in done:
+        node = pop()
+        if node in failing or use_lit and lit_fails(node):
+            explored += 1
+            hits += 1
+            outcome, witness = INFERRED_FAILS, pair_of(node)
+            break
+        if knows and known(node):
+            hits += 1
             continue
-        if x in fs:
-            pops += 1
-            return close(INFERRED_FAILS, witness=(x, f), hit=1)
-        pops += 1
-        if pops > max_pairs:
-            return close(UNKNOWN)
-        subs += 1
-        if not ok(x):
-            return close(FAILS, counterexample=(x, f))
-        done.add(x)
-        for y in successors(x):
-            if y in fs:
-                append(y)
+        explored += 1
+        if explored > max_pairs:
+            outcome = UNKNOWN
+            break
+        if not ok(node):
+            outcome, counterexample = FAILS, pair_of(node)
+            break
+        mark_done(node)
+        if closing:
+            frontier = [pair_of(node)]
+            derive(frontier[0])
+            for _ in range(cfg.depth):
+                frontier = [op.apply(p) for p in frontier for op in tent_ops]
+                for q in frontier:
+                    derive(q)
+        for succ in expand(node):
+            if succ in failing or use_lit and lit_fails(succ):
+                push(succ)
                 break
-            if y not in seen:
-                seen.add(y)
-                append(y)
-    return close(HOLDS)
+            if succ not in seen:
+                if knows and known(succ):
+                    hits += 1
+                    continue
+                mark_seen(succ)
+                push(succ)
+            elif knows and succ not in done and known(succ):
+                hits += 1
+    # every explored node had its observation checked, except one that
+    # was inferred failing or went over the budget
+    subsets = explored - (outcome in (INFERRED_FAILS, UNKNOWN))
+
+    if outcome == HOLDS:
+        for node in done:
+            pair = pair_of(node)
+            kb.R.add(pair)
+            engine.note_satisfied(pair)
+    elif outcome == FAILS:
+        kb.F.add(counterexample)
+        engine.note_failed(counterexample)
+    stats = Stats(explored, hits, subsets)
+    return Verdict(outcome, counterexample, witness, stats), kb
 
 
-def _negate(outcome):
-    return {HOLDS: FAILS, FAILS: HOLDS,
-            INFERRED_HOLDS: INFERRED_FAILS, INFERRED_FAILS: INFERRED_HOLDS,
-            UNKNOWN: UNKNOWN}[outcome]
+_NEGATED = {HOLDS: FAILS, FAILS: HOLDS, INFERRED_HOLDS: INFERRED_FAILS,
+            INFERRED_FAILS: INFERRED_HOLDS, UNKNOWN: UNKNOWN}
+
+
+def _property_verdict(prop, inner):
+    """The verdict of a property from that of its body: Assert keeps it,
+    Refute negates the outcome, and the inner counterexample becomes the
+    witness of the outer satisfaction."""
+    if prop.polarity == ASSERT:
+        return inner
+    return Verdict(_NEGATED[inner.outcome], None,
+                   inner.counterexample or inner.witness, inner.stats)
 
 
 def check_property(sys, x0, prop, kb, cfg, engine=None,
                    max_pairs=DEFAULT_MAX_PAIRS):
-    """Check a Property: Assert delegates to verify, Refute negates the
-    inner outcome; the inner counterexample becomes the witness of the
-    outer satisfaction."""
+    """Check a Property: verify its body, then apply its polarity."""
     inner, kb = verify(sys, x0, prop.body, kb, cfg, engine=engine,
                        max_pairs=max_pairs)
-    if prop.polarity == ASSERT:
-        return inner, kb
-    out = Verdict(_negate(inner.outcome), None,
-                  inner.counterexample or inner.witness, inner.stats)
-    return out, kb
+    return _property_verdict(prop, inner), kb
 
 
 def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
@@ -374,12 +296,7 @@ def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
         else:
             inner, kb = verify(sys, x0, prop.body, kb, cfg, engine=engine,
                                max_pairs=max_pairs)
-        if prop.polarity == REFUTE:
-            verdict = Verdict(_negate(inner.outcome), None,
-                              inner.counterexample or inner.witness,
-                              inner.stats)
-        else:
-            verdict = inner
+        verdict = _property_verdict(prop, inner)
         if verdict.inferred():
             inferred += 1
         results.append((prop, verdict))

@@ -94,6 +94,19 @@ def test_swat_hierarchy(swat_reports):
     assert h["filter"]("Lvl") == ["alpha", "gamma"]
 
 
+def test_two_attacks_of_one_kind_keep_two_rows():
+    s, plist, cfg = swat_setup()
+    bias = attack_kinds(s)["bias"]
+    attacker = Attacker("two-biases", [bias({"b": 100}), bias({"b": 450})])
+    rep = capabilities(attacker, s, s.initial, plist, cfg)
+    assert sorted(rep.matrix) == ["bias[100]", "bias[450]"]
+    assert all(len(row) == 3 for row in rep.matrix.values())
+    # a 450-unit offset drives the level below its bound, 100 does not
+    assert rep.matrix["bias[100]"]["Lvl"].holds()
+    assert rep.matrix["bias[450]"]["Lvl"].fails()
+    assert rep.capability_set == {"Lvl", "Hg", "Con"}
+
+
 def test_unattacked_swat_satisfies_all(swat_reports):
     s, plist, cfg = swat_setup()
     rep = capabilities(Attacker("none", [Attack("id")]), s, s.initial,

@@ -96,6 +96,23 @@ def test_check_state_flag_limited_to_dial_and_lock(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "lock", "--digits", "2", "--state", "500", "G <.!=3>"),
+    ("--model", "dial", "--state", "12", "G <.!=3>"),
+    ("--model", "dial", "--state", "-1", "G <.!=3>"),
+    ("--model", "dial", "--state", "three", "G <.!=3>"),
+    ("--model", "dial", "v"),
+    ("--model", "dial", "nu v. v"),
+    ("--model", "dial", "nu v. <.!=3> & v"),
+])
+def test_check_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main([])

@@ -2,8 +2,7 @@ import pytest
 
 from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
                             AlgebraicOperator, ClosureConfig, KnowledgeBase,
-                            closure_members, force_transition_operator,
-                            infer_failed, infer_satisfied)
+                            closure_members, infer_failed, infer_satisfied)
 from cosafe.formula import TABLE
 from cosafe.models import (dial_model, lock_decode, lock_encode, lock_model,
                            lock_operators, lock_properties, puzzle_model,
@@ -188,16 +187,6 @@ def test_closure_members_includes_id_and_images(lock, lock_ops):
     assert (1234, f) in members
     assert shift.apply((1234, f)) in members
     assert len(members) == 2
-
-
-def test_force_transition_operator_on_dial():
-    d = dial_model()
-    op = force_transition_operator(d, "*")
-    f = neq_formula(d, 3)
-    y, g = op.apply((0, f))
-    assert y == 1
-    assert TABLE.obs(g) == d.observe(1)
-    assert op.preserves() and not op.reflects()
 
 
 def test_image_pred_requires_bijective_for_complement():

@@ -1,8 +1,7 @@
 import pytest
 
-from cosafe.coalgebra import (NondetAdapter, System, UnknownInput,
-                              adapt_nondeterministic, behaviour_prefix,
-                              behaviour_system, iterate, singleton_state)
+from cosafe.coalgebra import (System, UnknownInput, behaviour_prefix,
+                              behaviour_system, iterate)
 from cosafe.models import dial_model, lock_model
 from cosafe.predicate import FiniteSet, FiniteSpace, member
 
@@ -50,28 +49,6 @@ def test_behaviour_prefix_equality_is_behavioural():
     d = dial_model()
     assert behaviour_prefix(d, 2, 4) == behaviour_prefix(d, 2, 4)
     assert behaviour_prefix(d, 2, 4) != behaviour_prefix(d, 3, 4)
-
-
-def test_nondeterministic_adapter_powerset():
-    space = FiniteSpace(frozenset(range(4)))
-
-    def observe(x):
-        return FiniteSet(space, frozenset((x,)))
-
-    def step_set(x, i):
-        return frozenset(((x + 1) % 4, (x + 2) % 4))
-
-    nd = NondetAdapter("branchy", ("*",), observe, step_set,
-                       observation_space=space)
-    det = adapt_nondeterministic(nd)
-    x0 = singleton_state(0)
-    assert det.observe(x0) == FiniteSet(space, frozenset((0,)))
-    x1 = det.step(x0, "*")
-    assert x1 == frozenset((1, 2))
-    assert det.observe(x1) == FiniteSet(space, frozenset((1, 2)))
-    # union of member successor sets
-    x2 = det.step(x1, "*")
-    assert x2 == frozenset((2, 3, 0))
 
 
 def test_behaviour_system_quotients_by_behaviour():

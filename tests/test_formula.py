@@ -133,6 +133,12 @@ def test_swat_level_implies_pressure():
                              sys_.inputs)
     assert (props["Lvl"].body, props["Hg"].body) in rel
     assert (props["Hg"].body, props["Lvl"].body) not in rel
+    # the whole relation over the four properties, besides reflexivity
+    names = {p.body: name for name, p in props.items()}
+    rel = formula_similarity(list(names), sys_.inputs)
+    assert {(names[f], names[g]) for f, g in rel if f != g} == {
+        ("Lvl", "Hg"), ("Lvl", "Hydro")}
+    assert all((f, f) in rel for f in names)
 
 
 def test_property_polarity_validated():

@@ -80,6 +80,20 @@ def test_interval_member_and_subset():
     assert isinstance(intersect(a, Interval(LINE, 30, 40)), Empty)
 
 
+def test_interval_subset_without_enumeration():
+    # 10^12 points: only the endpoint rules can decide these in time
+    wide = Interval(ScaledLine(), 0, 10 ** 12)
+    assert subset(wide, Interval(ScaledLine(), -1, 10 ** 12 + 1))
+    assert not subset(wide, Interval(ScaledLine(), 1, 10 ** 12 + 1))
+    assert subset(wide, Complement(ScaledLine(), FiniteSet(
+        ScaledLine(), frozenset((-1, 10 ** 12 + 1)))))
+    assert not subset(wide, Complement(ScaledLine(), FiniteSet(
+        ScaledLine(), frozenset((-1, 7)))))
+    # a one-point interval fits a finite set holding its point
+    assert subset(Interval(LINE, 5, 5), FiniteSet(LINE, frozenset((5, 6))))
+    assert not subset(Interval(LINE, 5, 6), FiniteSet(LINE, frozenset((5,))))
+
+
 def test_space_mismatch_rejected():
     other = FiniteSpace(frozenset(range(3)))
     with pytest.raises(SpaceMismatch):

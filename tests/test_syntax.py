@@ -99,7 +99,7 @@ def test_parse_errors(dial_ctx, swat_ctx):
 def test_print_parse_roundtrip_dial(dial_ctx):
     for text in ("tt", "<.=3>", "<.!=3>", "G <.!=4>", "F <.=4>",
                  "<{1,2}> & G <.!=0>", "[tt] <.=1>",
-                 "nu v. <{1,2}> & [tt] (v & <.!=0>)"):
+                 "nu v. (<{1,2}> & [tt] (v & <.!=0>))"):
         prop = parse_property(text, dial_ctx)
         printed = print_property(prop, dial_ctx)
         again = parse_property(printed, dial_ctx)

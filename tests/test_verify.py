@@ -1,12 +1,14 @@
 import pytest
 
-from cosafe.closure import ClosureConfig, KnowledgeBase
+from cosafe.closure import (EQUIVARIANT, LITERAL, PRESERVING,
+                            AlgebraicOperator, ClosureConfig, KnowledgeBase)
 from cosafe.coalgebra import System
 from cosafe.formula import ASSERT, REFUTE, TABLE, Property, formula_similarity
 from cosafe.models import (dial_model, dial_eventually, lock_model,
-                           lock_operators, lock_properties, swat_model,
-                           swat_properties)
+                           lock_operators, lock_properties, puzzle_model,
+                           swat_model, swat_properties)
 from cosafe.predicate import Complement, FiniteSet, member
+from cosafe.syntax import SyntaxContext, print_formula
 from cosafe.verify import (FAILS, HOLDS, INFERRED_FAILS, INFERRED_HOLDS,
                            UNKNOWN, Verdict, check_many, check_property,
                            order_properties, verify)
@@ -88,10 +90,11 @@ def brute_force_holds(sys, states, x0, psi):
     return (x0, psi) in rel
 
 
-def test_verify_matches_brute_force_on_dial():
-    d = dial_model()
+def dial_formulas(d):
+    """G tt, G <.!=3>, and three formulae whose obligation changes with
+    the input, so that the verifier searches (state, formula) pairs."""
     space = d.observation_space
-    formulas = [
+    return [
         TABLE.mk_always(TABLE.tt(space), d.input_pred),
         neq_body(d, 3),
         TABLE.mk_obs(FiniteSet(space, frozenset((0, 1)))),
@@ -104,7 +107,11 @@ def test_verify_matches_brute_force_on_dial():
                              space, FiniteSet(space, frozenset((5,)))))),
         ]),
     ]
-    for psi in formulas:
+
+
+def test_verify_matches_brute_force_on_dial():
+    d = dial_model()
+    for psi in dial_formulas(d):
         for x0 in range(10):
             kb, cfg = fresh()
             v, _ = verify(d, x0, psi, kb, cfg)
@@ -179,6 +186,207 @@ def test_fast_path_without_observe_value():
         vb, _ = verify(plain, 1, body, kbb, cb)
         assert va.outcome == vb.outcome
         assert va.stats.pairs_explored == vb.stats.pairs_explored
+
+
+def dial_turn(k, direction):
+    """Turning the dial by k commutes with stepping and maps the
+    observation v to v + k; `direction` declares which way it is used."""
+    return AlgebraicOperator("turn%d" % k, lambda x: (x + k) % 10,
+                             lambda v: (v + k) % 10, direction)
+
+
+def loop_cases():
+    """name -> (system, config, steps, max_pairs).  Each step is
+    (x0, property), checked with check_many on the knowledge base the
+    earlier steps left.  "state/..." rows check G formulae, so the
+    verifier searches bare states; "pair/..." rows check formulae whose
+    obligation changes with the input, so it searches (state, formula)
+    pairs."""
+    d = dial_model()
+    T, N3, P01, B1, A = dial_formulas(d)
+    space = d.observation_space
+    N8 = neq_body(d, 8)
+    N38 = TABLE.mk_always(TABLE.mk_obs(Complement(
+        space, FiniteSet(space, frozenset((3, 8))))), d.input_pred)
+    B6 = TABLE.mk_box(d.input_pred,
+                      TABLE.mk_obs(FiniteSet(space, frozenset((6,)))))
+    named = {"T": T, "N3": N3, "N8": N8, "N38": N38, "P01": P01,
+             "B1": B1, "B6": B6, "A": A}
+    # G tt is left out: its observation space cannot be found
+    # structurally, so formula_similarity cannot compare it
+    implication = formula_similarity([f for f in named.values() if f != T],
+                                     d.inputs)
+
+    def steps(*spec):
+        out = []
+        for x0, name in spec:
+            polarity = REFUTE if name.startswith("!") else ASSERT
+            out.append((x0, Property(name, polarity, named[name.lstrip("!")])))
+        return out
+
+    puzzle = puzzle_model(3)
+    pspace = puzzle.observation_space
+    U100 = TABLE.mk_always(TABLE.mk_obs(Complement(
+        pspace, FiniteSet(pspace, frozenset((100,))))), puzzle.input_pred)
+    U100_101 = TABLE.mk_always(TABLE.mk_obs(Complement(
+        pspace, FiniteSet(pspace, frozenset((100, 101))))), puzzle.input_pred)
+    puzzle_impl = formula_similarity([U100, U100_101], puzzle.inputs)
+
+    def puzzle_steps(first):
+        # first proved from a successor of the initial state, whose
+        # committed pairs the check from the initial state then meets
+        x_read = puzzle.step(puzzle.initial, 1)
+        return [(x_read, Property("first", ASSERT, first)),
+                (puzzle.initial, Property("U100", ASSERT, U100)),
+                (puzzle.initial, Property("!U100", REFUTE, U100))]
+
+    lock = lock_model(2)
+    lock_props = lock_properties(lock)
+    lock_steps = [(0, lock_props[n]) for n in (12, 21, 11, 30, 3)]
+    shift = tuple(lock_operators(2, ("shift",)).values())
+
+    cfg = ClosureConfig
+    turn_eq = (dial_turn(5, EQUIVARIANT),)
+    turn_pres = (dial_turn(5, PRESERVING),)
+    g_steps = steps((0, "N8"), (0, "!N3"), (0, "T"), (0, "!T"), (3, "N38"))
+    return {
+        "state/none": (d, cfg(), g_steps, None),
+        "state/unknown": (d, cfg(), steps((0, "T")), 3),
+        "state/implication": (d, cfg(implication=implication),
+                              steps((0, "N3"), (0, "N38"), (0, "!N38"),
+                                    (0, "T"), (4, "T")), None),
+        "state/equivariant": (d, cfg(turn_eq), g_steps, None),
+        "state/literal": (d, cfg(turn_pres, failure_mode=LITERAL), g_steps,
+                          None),
+        "state/lock-shift": (lock, cfg(shift), lock_steps, None),
+        "state/committed": (puzzle, cfg(), puzzle_steps(U100), None),
+        "state/committed-implication": (puzzle, cfg(implication=puzzle_impl),
+                                        puzzle_steps(U100_101), None),
+        "pair/none": (d, cfg(),
+                      steps((0, "P01"), (0, "B1"), (0, "A"), (4, "P01"),
+                            (4, "B1"), (0, "!A"), (2, "!A")), None),
+        "pair/unknown": (d, cfg(), steps((0, "B1")), 2),
+        "pair/implication": (d, cfg(implication=implication),
+                             steps((0, "A"), (0, "P01"), (0, "B1"),
+                                   (4, "P01"), (0, "!A")), None),
+        "pair/equivariant": (d, cfg(turn_eq),
+                             steps((5, "B1"), (0, "B6"), (0, "P01"),
+                                   (1, "!P01")), None),
+        "pair/literal": (d, cfg(turn_pres, failure_mode=LITERAL),
+                         steps((5, "B1"), (0, "B6"), (0, "!B6"),
+                               (0, "P01")), None),
+    }
+
+
+def run_loop_case(system, cfg, steps, max_pairs):
+    """Each verdict as (x0, property, outcome, counterexample, witness,
+    pairs_explored, closure_hits, subset_checks), a pair printed as
+    (state, formula text); then (|R|, |F|) of the final knowledge base."""
+    ctx = SyntaxContext(system.observation_space, system.input_pred)
+
+    def show(pair):
+        return pair and (pair[0], print_formula(pair[1], ctx))
+
+    kb = KnowledgeBase()
+    rows = []
+    for x0, prop in steps:
+        results, kb, _ = check_many(system, x0, [prop], kb, cfg,
+                                    max_pairs=max_pairs or 10 ** 6)
+        v = results[0][1]
+        rows.append((x0, prop.name, v.outcome, show(v.counterexample),
+                     show(v.witness), v.stats.pairs_explored,
+                     v.stats.closure_hits, v.stats.subset_checks))
+    return rows, (len(kb.R), len(kb.F))
+
+
+# Recorded from the three-loop verifier that the single search loop
+# replaced; the loop must reproduce every field.
+LOOP_TABLE = {
+    'state/none': (
+        [(0, 'N8', 'Fails', (8, 'G <.!=8>'), None, 9, 0, 9),
+         (0, '!N3', 'Holds', None, (3, 'G <.!=3>'), 4, 0, 4),
+         (0, 'T', 'Holds', None, None, 10, 0, 10),
+         (0, '!T', 'InferredFails', None, (0, 'nu v. [tt] v'), 1, 1, 0),
+         (3, 'N38', 'Fails', (3, 'G <!{3,8}>'), None, 1, 0, 1)],
+        (10, 3)),
+    'state/unknown': (
+        [(0, 'T', 'Unknown', None, None, 4, 0, 3)],
+        (0, 0)),
+    'state/implication': (
+        [(0, 'N3', 'Fails', (3, 'G <.!=3>'), None, 4, 0, 4),
+         (0, 'N38', 'InferredFails', None, (3, 'G <!{3,8}>'), 4, 1, 3),
+         (0, '!N38', 'InferredHolds', None, (3, 'G <!{3,8}>'), 4, 1, 3),
+         (0, 'T', 'Holds', None, None, 10, 0, 10),
+         (4, 'T', 'InferredHolds', None, (4, 'nu v. [tt] v'), 1, 1, 0)],
+        (10, 1)),
+    'state/equivariant': (
+        [(0, 'N8', 'Fails', (8, 'G <.!=8>'), None, 9, 0, 9),
+         (0, '!N3', 'InferredHolds', None, (3, 'G <.!=3>'), 4, 1, 3),
+         (0, 'T', 'Holds', None, None, 5, 1, 5),
+         (0, '!T', 'InferredFails', None, (0, 'nu v. [tt] v'), 1, 1, 0),
+         (3, 'N38', 'Fails', (3, 'G <!{3,8}>'), None, 1, 0, 1)],
+        (5, 2)),
+    'state/literal': (
+        [(0, 'N8', 'Fails', (8, 'G <.!=8>'), None, 9, 0, 9),
+         (0, '!N3', 'InferredHolds', None, (3, 'G <.!=3>'), 4, 1, 3),
+         (0, 'T', 'Holds', None, None, 10, 0, 10),
+         (0, '!T', 'InferredFails', None, (0, 'nu v. [tt] v'), 1, 1, 0),
+         (3, 'N38', 'Fails', (3, 'G <!{3,8}>'), None, 1, 0, 1)],
+        (10, 2)),
+    'state/lock-shift': (
+        [(0, 'F[.=12]', 'Holds', None, (12, 'G <.!=12>'), 98, 0, 98),
+         (0, 'F[.=21]', 'InferredHolds', None, (21, 'G <.!=21>'), 14, 1, 13),
+         (0, 'F[.=11]', 'Holds', None, (11, 'G <.!=11>'), 55, 16, 55),
+         (0, 'F[.=30]', 'Holds', None, (30, 'G <.!=30>'), 90, 0, 90),
+         (0, 'F[.=03]', 'InferredHolds', None, (3, 'G <.!=3>'), 4, 1, 3)],
+        (0, 3)),
+    'state/committed': (
+        [((('R', 1), ('Q', 0), 1), 'first', 'Holds', None, None, 78, 0, 78),
+         ((('Q', 0), ('Q', 0), 1), 'U100', 'Holds', None, None, 7, 6, 7),
+         ((('Q', 0), ('Q', 0), 1), '!U100', 'InferredFails', None, ((('Q', 0), ('Q', 0), 1), 'G <.!=100>'), 1, 1, 0)],
+        (85, 0)),
+    'state/committed-implication': (
+        [((('R', 1), ('Q', 0), 1), 'first', 'Holds', None, None, 78, 0, 78),
+         ((('Q', 0), ('Q', 0), 1), 'U100', 'Holds', None, None, 7, 6, 7),
+         ((('Q', 0), ('Q', 0), 1), '!U100', 'InferredFails', None, ((('Q', 0), ('Q', 0), 1), 'G <.!=100>'), 1, 1, 0)],
+        (85, 0)),
+    'pair/none': (
+        [(0, 'P01', 'Holds', None, None, 11, 0, 11),
+         (0, 'B1', 'Holds', None, None, 2, 1, 2),
+         (0, 'A', 'Holds', None, None, 2, 1, 2),
+         (4, 'P01', 'Fails', (4, '<{0,1}>'), None, 1, 0, 1),
+         (4, 'B1', 'Fails', (5, '<.=1>'), None, 2, 0, 2),
+         (0, '!A', 'InferredFails', None, (0, '<.=0> & [tt] <.!=5>'), 1, 1, 0),
+         (2, '!A', 'Holds', None, (2, '<.=0> & [tt] <.!=5>'), 1, 0, 1)],
+        (15, 3)),
+    'pair/unknown': (
+        [(0, 'B1', 'Unknown', None, None, 3, 0, 2)],
+        (0, 0)),
+    'pair/implication': (
+        [(0, 'A', 'Holds', None, None, 10, 1, 10),
+         (0, 'P01', 'InferredHolds', None, (0, '<{0,1}>'), 1, 1, 0),
+         (0, 'B1', 'Holds', None, None, 2, 1, 2),
+         (4, 'P01', 'Fails', (4, '<{0,1}>'), None, 1, 0, 1),
+         (0, '!A', 'InferredFails', None, (0, '<.=0> & [tt] <.!=5>'), 1, 1, 0)],
+        (12, 1)),
+    'pair/equivariant': (
+        [(5, 'B1', 'Fails', (6, '<.=1>'), None, 2, 0, 2),
+         (0, 'B6', 'InferredFails', None, (1, '<.=6>'), 2, 1, 1),
+         (0, 'P01', 'Holds', None, None, 6, 1, 6),
+         (1, '!P01', 'Fails', None, None, 1, 1, 1)],
+        (7, 1)),
+    'pair/literal': (
+        [(5, 'B1', 'Fails', (6, '<.=1>'), None, 2, 0, 2),
+         (0, 'B6', 'InferredFails', None, (1, '<.=6>'), 2, 1, 1),
+         (0, '!B6', 'InferredHolds', None, (1, '<.=6>'), 2, 1, 1),
+         (0, 'P01', 'Holds', None, None, 11, 0, 11)],
+        (11, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_TABLE))
+def test_search_loop_table(name):
+    assert run_loop_case(*loop_cases()[name]) == LOOP_TABLE[name]
 
 
 def test_check_many_prescreen_uses_committed_knowledge():
