@@ -271,6 +271,8 @@ def _load_attackers(path, sys_):
             doc = json.load(fh)
     except (OSError, ValueError) as e:
         raise ConfigError("cannot read attacker file %s: %s" % (path, e))
+    if not isinstance(doc, list):
+        raise ConfigError("attacker file %s must hold a JSON list" % path)
     kinds = models.attack_kinds(sys_)
     attackers = []
     for entry in doc:
@@ -279,14 +281,29 @@ def _load_attackers(path, sys_):
             specs = entry["attacks"]
         except (TypeError, KeyError):
             raise ConfigError("attacker entries need 'name' and 'attacks'")
+        if not (isinstance(specs, list)
+                and all(isinstance(spec, dict) for spec in specs)):
+            raise ConfigError("attacks of %r must be a list of objects"
+                              % (name,))
         attacks = []
         for spec in specs:
             kind = spec.get("kind")
             if kind not in kinds:
                 raise ConfigError("unknown attack kind %r (have: %s)"
                                   % (kind, ", ".join(sorted(kinds))))
-            attacks.append(kinds[kind](spec.get("params", {})))
-        attackers.append(Attacker(name, attacks))
+            params = spec.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigError("params of attack kind %r must be an "
+                                  "object" % (kind,))
+            try:
+                attacks.append(kinds[kind](params))
+            except (TypeError, ValueError) as e:
+                raise ConfigError("bad params for attack kind %r: %s"
+                                  % (kind, e))
+        try:
+            attackers.append(Attacker(name, attacks))
+        except ValueError as e:
+            raise ConfigError(str(e))
     return attackers
 
 
@@ -314,20 +331,49 @@ def cmd_quantify(args):
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+        self.exit(2, "error: %s\n" % message)
+
+
+# lock(d) builds a successor table of 10^d rows before any check runs
+MAX_DIGITS = 6
+
+
+def _number(kind, lo, hi=None, strict=False):
+    """An argparse type: text read as `kind`, at least lo (above lo when
+    strict) and at most hi; NaN is out of every range."""
+    bounds = ("> %s" if strict else ">= %s") % lo
+    if hi is not None:
+        bounds += ", <= %s" % hi
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not a number" % text)
+        if not (value > lo if strict else value >= lo) or \
+                (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError("%s is out of range (%s)"
+                                             % (text, bounds))
+        return value
+    return parse
+
+
+_digits = _number(int, 1, MAX_DIGITS)
 
 
 def _common_flags(p):
-    p.add_argument("--closure-depth", type=int, default=1)
+    p.add_argument("--closure-depth", type=_number(int, 0), default=1)
     p.add_argument("--failure-inference", choices=(LITERAL, IMAGE, BOTH),
                    default=BOTH)
-    p.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
+    p.add_argument("--max-pairs", type=_number(int, 1),
+                   default=DEFAULT_MAX_PAIRS)
     p.add_argument("--output", help="write main output to this file")
 
 
 def _swat_flags(p):
     p.add_argument("--g", type=int, default=5)
-    p.add_argument("--quantum", type=float, default=0.01)
+    p.add_argument("--quantum", type=_number(float, 0.0, strict=True),
+                   default=0.01)
     p.add_argument("--bias", type=int, default=200)
     p.add_argument("--stealth-bias", type=int, default=500)
 
@@ -337,7 +383,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("lock-experiment")
-    p.add_argument("--digits", type=int, default=4)
+    p.add_argument("--digits", type=_digits, default=4)
     p.add_argument("--operators", type=lambda s: s.split(","), default=None)
     _common_flags(p)
     p.set_defaults(func=cmd_lock_experiment)
@@ -358,7 +404,7 @@ def build_parser():
     p = sub.add_parser("check")
     p.add_argument("--model", required=True)
     p.add_argument("--state", default=None)
-    p.add_argument("--digits", type=int, default=4)
+    p.add_argument("--digits", type=_digits, default=4)
     p.add_argument("--puzzle-max", type=int, default=20)
     p.add_argument("--operators", type=lambda s: s.split(","), default=None)
     _swat_flags(p)

@@ -93,24 +93,24 @@ def behaviour_prefix(sys, x, k):
 
 
 class _BehaviourState:
-    """A state of the truncated-behaviour system: identity is the depth-k
-    behaviour prefix, transitions are inherited from a representative
-    underlying state.  For k exceeding the system diameter, prefix
-    equality coincides with full behavioural equality, so the transition
-    structure is well defined on these equivalence classes."""
+    """A state of a truncated-behaviour system.  `pid` is the id of its
+    depth-k behaviour prefix, `obs` its observation, and `rep` an
+    underlying state with that behaviour, whose transitions it inherits.
+    For k exceeding the system diameter, prefix equality coincides with
+    full behavioural equality, so the transition structure is well
+    defined on these equivalence classes.
 
-    __slots__ = ("prefix", "rep", "_hash")
+    A behaviour system makes one state object per prefix id, so equality
+    is identity: two states of one system are equal exactly when their
+    depth-k prefixes are, and states of two different behaviour systems
+    are never equal, even where their ids coincide."""
 
-    def __init__(self, prefix, rep):
-        self.prefix = prefix
+    __slots__ = ("pid", "obs", "rep")
+
+    def __init__(self, pid, obs, rep):
+        self.pid = pid
+        self.obs = obs
         self.rep = rep
-        self._hash = hash(prefix)
-
-    def __eq__(self, other):
-        return isinstance(other, _BehaviourState) and self.prefix == other.prefix
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "BehaviourState(%r)" % (self.rep,)
@@ -120,41 +120,42 @@ def behaviour_system(sys, k):
     """The system whose states are depth-k behaviour prefixes of `sys`'s
     states.  Use with k = diameter + 1 so that verdicts transfer.
 
-    Prefixes are built recursively with memoization and interning --
-    pref(x, d) = (observe(x), children at d-1) -- so shared sub-behaviours
-    are represented once instead of as exponentially many sequences."""
-    cache = {}
+    Prefixes are hash-consed to integer ids, memoized per (state, depth):
+    pref(x, d) is the id of (observe(x), ids of the children at d-1), so
+    shared sub-behaviours are represented once and no prefix is hashed
+    deeper than one level.  Equal prefixes get equal ids by induction on
+    the depth.  `behaviour_prefix` is the reference semantics."""
     memo = {}
-    interned = {}
+    ids = {}
+    by_x = {}
+    by_id = {}
     inputs = sys.inputs
     base_observe = sys.observe
     base_step = sys.step
 
     def pref(x, d):
         key = (x, d)
-        out = memo.get(key)
-        if out is None:
-            if d == 0:
-                node = (base_observe(x),)
-            else:
-                node = (base_observe(x),
-                        tuple(pref(base_step(x, i), d - 1) for i in inputs))
-            out = interned.setdefault(node, node)
-            memo[key] = out
-        return out
+        pid = memo.get(key)
+        if pid is None:
+            children = () if d == 0 else tuple(
+                pref(base_step(x, i), d - 1) for i in inputs)
+            pid = ids.setdefault((base_observe(x), children), len(ids))
+            memo[key] = pid
+        return pid
 
     def wrap(x):
-        st = cache.get(x)
+        st = by_x.get(x)
         if st is None:
-            st = _BehaviourState(pref(x, k), x)
-            cache[x] = st
+            pid = pref(x, k)
+            st = by_x[x] = by_id.setdefault(
+                pid, _BehaviourState(pid, base_observe(x), x))
         return st
 
     def observe(st):
-        return st.prefix[0]
+        return st.obs
 
     def step(st, i):
-        return wrap(sys.step(st.rep, i))
+        return wrap(base_step(st.rep, i))
 
     wrapped = System("behaviour(%s,k=%d)" % (sys.name, k), sys.inputs,
                      observe, step, observation_space=sys.observation_space)

@@ -83,7 +83,10 @@ class FormulaTable:
         return self._intern((NU, body))
 
     def mk_always(self, body, input_space_pred):
-        """G f  =  nu v. f & [I]v   (f closed)."""
+        """G f  =  nu v. f & [I]v   (f closed: the new binder would
+        capture a free v of f)."""
+        if not self.is_closed(body):
+            raise ValueError("G over a formula with a free v")
         return self.mk_nu(self.mk_and([body, self.mk_box(input_space_pred, self.var(0))]))
 
     # -- structure checks ---------------------------------------------

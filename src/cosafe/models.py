@@ -6,6 +6,8 @@ All continuous quantities in the water model are scaled integers in
 hundredths, so every step count and equality test is exact.
 """
 
+from functools import cache
+
 from .attacker import Attack
 from .closure import EQUIVARIANT, AlgebraicOperator
 from .coalgebra import System
@@ -13,6 +15,15 @@ from .formula import ASSERT, REFUTE, TABLE, Property
 from .predicate import (BoolSpace, Complement, FiniteSet, FiniteSpace,
                         Interval, LinearLink, Product, ProductSpace,
                         ScaledLine, Universe)
+
+
+@cache
+def _value_space(n):
+    """The observation space 0..n-1 of the dial and the lock, one object
+    per size.  Formulae over two models of one size then share their
+    space, so interning finds the equal node by identity instead of
+    comparing the value sets element by element."""
+    return FiniteSpace(frozenset(range(n)))
 
 
 def _eventually(sys, n, name, table=TABLE):
@@ -31,7 +42,7 @@ def _eventually(sys, n, name, table=TABLE):
 
 def dial_model():
     """Ten states 0..9, one input, +1 mod 10, observation = the value."""
-    space = FiniteSpace(frozenset(range(10)))
+    space = _value_space(10)
 
     def observe(x):
         return FiniteSet(space, frozenset((x,)))
@@ -60,7 +71,7 @@ def lock_model(digits=4):
     0), so states are dense 0..10^digits-1 and the observation is the
     displayed code itself."""
     n = 10 ** digits
-    space = FiniteSpace(frozenset(range(n)))
+    space = _value_space(n)
     inputs = tuple(range(digits))
     place = [10 ** (digits - 1 - i) for i in range(digits)]
 

@@ -155,6 +155,12 @@ class LinearLink(Predicate):
     factor: int = 1
 
 
+def _is_any(p):
+    """Universe(None) allows every observation of whatever space it meets:
+    it is what a formula that names no space of its own (G tt) allows."""
+    return isinstance(p, Universe) and p.space is None
+
+
 def _check_space(p, q):
     if p.space != q.space:
         raise SpaceMismatch("predicates live in different spaces: %r vs %r"
@@ -228,6 +234,10 @@ def complement(p):
 
 
 def intersect(p, q):
+    if _is_any(p):
+        return q
+    if _is_any(q):
+        return p
     _check_space(p, q)
     if isinstance(p, Universe):
         return q
@@ -310,6 +320,10 @@ def _component_interval(p, idx):
 
 def subset(p, q):
     """Exact decision of p <= q (as sets); raises Undecidable otherwise."""
+    if _is_any(q):
+        return True
+    if _is_any(p):
+        p = Universe(q.space)
     _check_space(p, q)
     if isinstance(p, Empty) or isinstance(q, Universe):
         return True

@@ -154,7 +154,11 @@ class _Parser:
         tok = self.peek()
         if tok == "G":
             self.take()
-            return t.mk_always(self.term(), self.ctx.input_pred)
+            body = self.term()
+            try:
+                return t.mk_always(body, self.ctx.input_pred)
+            except ValueError as e:
+                raise FormulaSyntaxError(str(e))
         if tok == "[":
             self.take()
             pred = self.pred(input_space=True)

@@ -2,11 +2,17 @@ import json
 
 import pytest
 
-from cosafe.cli import main
+from cosafe import models
+from cosafe.cli import MAX_DIGITS, build_parser, main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """The CLI's exit code, stdout and stderr; a flag argparse rejects
+    exits from inside main."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -104,6 +110,13 @@ def test_check_state_flag_limited_to_dial_and_lock(capsys):
     ("--model", "dial", "v"),
     ("--model", "dial", "nu v. v"),
     ("--model", "dial", "nu v. <.!=3> & v"),
+    ("--model", "dial", "nu v. (<.!=3> & G [tt] v)"),
+    ("--model", "dial", "--closure-depth", "-1", "G <.!=3>"),
+    ("--model", "lock", "--digits", "0", "G <.!=3>"),
+    ("--model", "lock", "--digits", "two", "G <.!=3>"),
+    ("--model", "swat", "--quantum", "0", "G <(_,_,{true})>"),
+    ("--model", "swat", "--quantum", "nan", "G <(_,_,{true})>"),
+    ("--model", "dial", "--max-pairs", "0", "G <.!=3>"),
 ])
 def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, "check", *argv)
@@ -111,6 +124,33 @@ def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_digits_bounded_before_the_lock_is_built(capsys, monkeypatch):
+    def build(digits):
+        raise AssertionError("lock_model(%d) was called" % digits)
+
+    monkeypatch.setattr(models, "lock_model", build)
+    too_many = str(MAX_DIGITS + 1)
+    for argv in (("check", "--model", "lock", "--digits", too_many, "tt"),
+                 ("lock-experiment", "--digits", too_many)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: argument --digits") and \
+            err.count("\n") == 1
+    args = build_parser().parse_args(
+        ["check", "--model", "lock", "--digits", str(MAX_DIGITS), "tt"])
+    assert args.digits == MAX_DIGITS
+
+
+def test_check_g_tt_is_neutral_in_a_conjunction(capsys):
+    docs = []
+    for text in ("G tt & G <.!=3>", "G <.!=3>"):
+        code, out, _ = run(capsys, "check", "--model", "dial", text)
+        assert code == 0
+        doc = json.loads(out)
+        docs.append((doc["outcome"], doc["pairs_explored"]))
+    assert docs[0] == docs[1] == ("Fails", 4)
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -156,6 +196,24 @@ def test_quantify_rejects_unknown_kind(tmp_path, capsys):
                        "--attackers", str(path))
     assert code == 2
     assert "meteor" in err
+
+
+@pytest.mark.parametrize("doc", [
+    [{"name": "x", "attacks": [{"kind": "bias", "params": {"b": "x"}}]}],
+    [{"name": "x", "attacks": [{"kind": "bias", "params": {"b": None}}]}],
+    [{"name": "x", "attacks": [{"kind": "bias", "params": [200]}]}],
+    [{"name": "x", "attacks": ["surge"]}],
+    [{"name": "x", "attacks": 5}],
+    [{"name": "", "attacks": []}],
+    5,
+])
+def test_quantify_bad_attacker_file_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "attackers.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "quantify", "--model", "swat",
+                         "--attackers", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_quantify_rejects_non_swat_model(tmp_path, capsys):

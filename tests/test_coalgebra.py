@@ -75,5 +75,51 @@ def test_behaviour_system_identifies_equivalent_states():
     s = System("twin", ("*",), observe, step, observation_space=space)
     b = behaviour_system(s, 5)
     assert b.wrap(0) == b.wrap(2)
+    assert hash(b.wrap(0)) == hash(b.wrap(2))
     assert b.wrap(1) == b.wrap(3)
     assert b.wrap(0) != b.wrap(1)
+    assert len({b.wrap(x) for x in range(4)}) == 2
+
+
+def test_behaviour_states_equal_exactly_when_prefixes_are():
+    # observation x % 6 == 0 on a 12-cycle with two inputs: depths 0, 1
+    # and 2 split the states into 2, 4 and 6 classes, and x and x + 6
+    # behave alike at every depth
+    space = FiniteSpace(frozenset((False, True)))
+
+    def observe(x):
+        return FiniteSet(space, frozenset((x % 6 == 0,)))
+
+    def step(x, i):
+        return (x + i) % 12
+
+    s = System("ring", (1, 3), observe, step, observation_space=space)
+    for k in range(5):
+        b = behaviour_system(s, k)
+        prefixes = [behaviour_prefix(s, x, k) for x in range(12)]
+        for x in range(12):
+            for y in range(12):
+                assert (b.wrap(x) == b.wrap(y)) == \
+                    (prefixes[x] == prefixes[y]), (k, x, y)
+
+
+def test_behaviour_system_lock_states_are_the_codes():
+    lock = lock_model(2)
+    b = behaviour_system(lock, 19)
+    states = {b.wrap(code) for code in range(100)}
+    assert len(states) == 100
+    assert {b.observe(st) for st in states} == \
+        {lock.observe(code) for code in range(100)}
+
+
+def test_behaviour_states_of_two_systems_never_equal():
+    # lock(1) is a dial with the dial's observations, so both behaviour
+    # systems give equal ids to equal behaviours; their states still
+    # differ
+    d, lock = dial_model(), lock_model(1)
+    bd, bl = behaviour_system(d, 10), behaviour_system(lock, 10)
+    for x in range(10):
+        assert bd.wrap(x).pid == bl.wrap(x).pid
+        assert bd.wrap(x) != bl.wrap(x)
+    assert len({bd.wrap(x) for x in range(10)}
+               | {bl.wrap(x) for x in range(10)}) == 20

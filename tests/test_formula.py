@@ -83,6 +83,9 @@ def test_closed_and_guarded():
     unguarded = TABLE.mk_nu(TABLE.mk_and([TABLE.mk_obs(obs_pred(1)),
                                           TABLE.var(0)]))
     assert not TABLE.is_guarded(unguarded)
+    # G's binder would capture the free v
+    with pytest.raises(ValueError):
+        TABLE.mk_always(TABLE.mk_box(IPRED, TABLE.var(0)), IPRED)
 
 
 def test_unfold_preserves_obs_and_next():
@@ -124,6 +127,15 @@ def test_similarity_is_a_simulation_and_transitive():
         for (c, d) in rel:
             if b == c:
                 assert (a, d) in rel
+
+
+def test_similarity_with_g_tt():
+    # G tt names no observation space (nu v. [I] v), yet compares with
+    # formulae that do: everything implies it
+    top = TABLE.mk_always(TABLE.tt(SPACE), IPRED)
+    f = TABLE.mk_always(TABLE.mk_obs(Complement(SPACE, obs_pred(3))), IPRED)
+    assert formula_similarity([top, f], INPUTS) == {
+        (top, top), (f, f), (f, top)}
 
 
 def test_swat_level_implies_pressure():

@@ -1,7 +1,7 @@
 from cosafe.closure import ClosureConfig, KnowledgeBase
 from cosafe.models import (Q, R, S, attack_kinds, dial_model, lock_model,
-                           puzzle_model, puzzle_property, swat_attacks,
-                           swat_model, swat_properties)
+                           lock_properties, puzzle_model, puzzle_property,
+                           swat_attacks, swat_model, swat_properties)
 from cosafe.verify import check_property
 
 
@@ -19,6 +19,16 @@ def test_lock_inputs_increment_one_dial_each():
     assert lock.step(1239, 3) == 1230  # last dial wraps alone
     assert lock.step(9999, 0) == 999
     assert lock.successors(1234) == (2234, 1334, 1244, 1235)
+
+
+def test_models_of_one_size_share_their_observation_space():
+    # re-interning a property then finds its node by identity, not by
+    # comparing two 10^4-element value sets
+    a, b = lock_model(4), lock_model(4)
+    assert a.observation_space.values is b.observation_space.values
+    assert dial_model().observation_space is lock_model(1).observation_space
+    pa, pb = lock_properties(a), lock_properties(b)
+    assert [p.body for p in pa] == [p.body for p in pb]
 
 
 def test_lock_every_code_reachable_within_36_steps():
