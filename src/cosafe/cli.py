@@ -361,6 +361,17 @@ def _number(kind, lo, hi=None, strict=False):
 _digits = _number(int, 1, MAX_DIGITS)
 
 
+def _quantum(text):
+    """An argparse type: a quantum that leaves at least one quantum in
+    one unit of the water model."""
+    value = _number(float, 0.0, strict=True)(text)
+    try:
+        models.quantum_scale(value)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    return value
+
+
 def _common_flags(p):
     p.add_argument("--closure-depth", type=_number(int, 0), default=1)
     p.add_argument("--failure-inference", choices=(LITERAL, IMAGE, BOTH),
@@ -372,8 +383,7 @@ def _common_flags(p):
 
 def _swat_flags(p):
     p.add_argument("--g", type=int, default=5)
-    p.add_argument("--quantum", type=_number(float, 0.0, strict=True),
-                   default=0.01)
+    p.add_argument("--quantum", type=_quantum, default=0.01)
     p.add_argument("--bias", type=int, default=200)
     p.add_argument("--stealth-bias", type=int, default=500)
 

@@ -224,11 +224,13 @@ class ClosureEngine:
     sat_index maps state -> formula ids known satisfied there (including
     images under preserving operators); fail_index maps formula id ->
     states where it is known to fail (including images under reflecting
-    operators).  Queries then only consult implication variants."""
+    operators).  Queries then only consult implication variants.
+    sat_formulae is every formula id that occurs in sat_index."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.sat_index = {}
+        self.sat_formulae = set()
         self.fail_index = {}
         self.raw_F = set()
         self._sat_ops = cfg.ops_with(AlgebraicOperator.preserves)
@@ -244,8 +246,16 @@ class ClosureEngine:
             self.note_failed(pair)
 
     def note_satisfied(self, pair):
-        for (x, f) in [pair, *_op_chains(pair, self._sat_ops, self.cfg.depth)]:
-            self.sat_index.setdefault(x, set()).add(f)
+        pairs = (pair,)
+        if self._sat_ops:
+            pairs = (pair, *_op_chains(pair, self._sat_ops, self.cfg.depth))
+        for (x, f) in pairs:
+            have = self.sat_index.get(x)
+            if have is None:
+                self.sat_index[x] = {f}
+            else:
+                have.add(f)
+            self.sat_formulae.add(f)
 
     def note_failed(self, pair):
         self.raw_F.add(pair)

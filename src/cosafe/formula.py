@@ -28,6 +28,7 @@ class FormulaTable:
         self._next_cache = {}
         self._unfold_cache = {}
         self._subst_cache = {}
+        self._well_formed = {}
 
     def _intern(self, node):
         fid = self._ids.get(node)
@@ -107,6 +108,15 @@ class FormulaTable:
         if tag == NU:
             return self.is_closed(node[1], depth + 1)
         raise ValueError(tag)
+
+    def is_well_formed(self, fid):
+        """Closed and guarded, as every formula the verifier takes must
+        be; cached per id."""
+        out = self._well_formed.get(fid)
+        if out is None:
+            out = self._well_formed[fid] = (self.is_closed(fid)
+                                            and self.is_guarded(fid))
+        return out
 
     def is_guarded(self, fid, guards=0):
         """Every variable occurrence sits under at least one box below its binder."""

@@ -204,6 +204,15 @@ def puzzle_property(sys, n, table=TABLE):
 # Water treatment, process 1
 # ---------------------------------------------------------------------------
 
+def quantum_scale(quantum):
+    """Quanta per unit, round(1 / quantum); ValueError unless that is at
+    least 1 (a coarser quantum would scale every quantity to 0)."""
+    if not quantum > 0 or round(1 / quantum) < 1:
+        raise ValueError("quantum %r must lie in (0, 2): a unit must hold at"
+                         " least one quantum" % quantum)
+    return round(1 / quantum)
+
+
 class SwatParams:
     """All quantities in quanta (hundredths by default).
 
@@ -218,7 +227,7 @@ class SwatParams:
                  pressure_lo=1000, pressure_hi=9000):
         self.g = g
         self.quantum = quantum
-        scale = round(1 / quantum)
+        scale = quantum_scale(quantum)
         self.scale = scale
         self.inflow_q = round(inflow * scale)
         self.outflow_q = round(outflow * scale)

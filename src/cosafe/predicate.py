@@ -208,10 +208,23 @@ def member_fn(p):
         inner = member_fn(p.inner)
         return lambda o: not inner(o)
     if isinstance(p, Product):
-        fns = tuple(member_fn(c) for c in p.components)
-        return lambda o: all(f(v) for f, v in zip(fns, o))
+        # only the constrained components are looked at
+        fns = tuple((k, c, member_fn(c)) for k, c in enumerate(p.components)
+                    if not isinstance(c, Universe))
+        if not fns:
+            return lambda o: True
+        if len(fns) == 1:
+            k, c, f = fns[0]
+            if isinstance(c, Interval):
+                lo, hi = c.lo, c.hi
+                return lambda o: lo <= o[k] <= hi
+            return lambda o: f(o[k])
+        return lambda o: all(f(o[k]) for k, _, f in fns)
     if isinstance(p, Intersection):
         fns = tuple(member_fn(part) for part in p.parts)
+        if len(fns) == 2:
+            first, second = fns
+            return lambda o: first(o) and second(o)
         return lambda o: all(f(o) for f in fns)
     if isinstance(p, LinearLink):
         src, dst, k = p.src, p.dst, p.factor

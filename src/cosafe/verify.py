@@ -15,6 +15,20 @@ On success the tentative relation is committed to the knowledge base; on
 failure it is discarded and only the direct counterexample persists --
 so failing properties re-explore states across runs, which is exactly
 what the exploration statistics measure.
+
+check_many explores each system once.  Its runs share one walk: the
+states reachable from x0 in the loop's own pop order, each with its
+observation, listed lazily and extended only when a run scans past its
+end.  A run scans the walk instead of searching when no knowledge can
+steer it: its nodes are bare states, no failing node is known, the
+literal failure check is off, no tentative closure applies, and no
+implicant of the formula is committed anywhere.  Under those conditions
+the loop skips nothing and pushes every unseen successor in input
+order, so it would pop exactly the walk's states; the scan therefore
+gives the loop's verdict and counters (Fails at the first bad
+observation with its position as pairs explored, Holds after the whole
+walk, Unknown past the budget) and commits the same pairs.  Direct
+calls of verify always search.
 """
 
 from dataclasses import dataclass, field
@@ -69,12 +83,70 @@ def _observe_member_fn(obs_pred):
     return check
 
 
-def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS):
+class _Walk:
+    """The states reachable from x0 in the search loop's pop order, each
+    with its observation, listed only as far as some run has asked.
+
+    It is the loop's own depth-first order: pop the last pushed state,
+    then push each successor not seen before, in input order.  A state's
+    successors are taken only when the state after it is asked for, so a
+    run that stops at the k-th state has stepped the same k - 1 states as
+    the loop would.  Nothing changes before step and observe return, so a
+    system that raises leaves the walk as it was."""
+
+    def __init__(self, sys, x0):
+        self.observe = (sys.observe if sys.observe_value is None
+                        else sys.observe_value)
+        self.successors = sys.successors
+        self.states = []
+        self.obs = []
+        self._todo = [x0]
+        self._seen = {x0}
+        self._unexpanded = None  # the last listed state
+
+    def extend(self):
+        """List one more state; False once every reachable state is."""
+        todo, seen = self._todo, self._seen
+        if self._unexpanded is not None:
+            for y in self.successors(self._unexpanded):
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+            self._unexpanded = None
+        if not todo:
+            return False
+        x = todo[-1]
+        self.obs.append(self.observe(x))
+        self.states.append(todo.pop())
+        self._unexpanded = x
+        return True
+
+    def scan(self, check, max_pairs):
+        """What the search loop gives on bare states when no knowledge
+        can steer it: (outcome, pairs explored, failing state)."""
+        states, obs = self.states, self.obs
+        i = 0
+        while i < len(obs) or self.extend():
+            if i == max_pairs:
+                return UNKNOWN, i + 1, None
+            if not check(obs[i]):
+                return FAILS, i + 1, states[i]
+            i += 1
+        return HOLDS, i, None
+
+
+def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
+           *, _walk=None):
     """Decide (sys, x0) |= psi0 under the given knowledge and closure
     configuration.  Returns (Verdict, kb); kb is updated per the
     algorithm's contract (commit R on success, record only direct
-    counterexamples in F on failure)."""
+    counterexamples in F on failure).  psi0 must be closed and guarded
+    (ValueError otherwise).  check_many passes _walk, the walk of (sys,
+    x0) its runs share."""
     table = cfg.table
+    if not table.is_well_formed(psi0):
+        raise ValueError("verify needs a closed, guarded formula (id %d)"
+                         % psi0)
     if engine is None:
         engine = ClosureEngine(cfg)
         engine.load(kb)
@@ -159,7 +231,19 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS):
                 tent_ops.append(op)
         except ValueError:
             pass
-    closing = bool(tent_ops) or any(len(implicants[f]) > 1 for f in reach)
+    # a derived pair adds more than its own node only when its formula
+    # implies another formula of this run, or when an operator maps it
+    closing = bool(tent_ops) or any(len(lifts[f]) > 1 for f in reach)
+
+    if (_walk is not None and reach == {psi0} and not failing
+            and not use_lit and not closing
+            and implicants[psi0].isdisjoint(engine.sat_formulae)):
+        # No knowledge can skip or refute a node, so the loop would pop
+        # exactly the walk's states, in its order: scan the walk instead.
+        outcome, explored, bad = _walk.scan(checks[psi0], max_pairs)
+        counterexample = (bad, psi0) if outcome == FAILS else None
+        return _conclude(kb, engine, outcome, counterexample, None,
+                         explored, 0, ((x, psi0) for x in _walk.states))
 
     sat_committed = engine.sat_index
     state_sim = cfg.state_sim
@@ -236,18 +320,24 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS):
                 push(succ)
             elif knows and succ not in done and known(succ):
                 hits += 1
-    # every explored node had its observation checked, except one that
-    # was inferred failing or went over the budget
-    subsets = explored - (outcome in (INFERRED_FAILS, UNKNOWN))
+    return _conclude(kb, engine, outcome, counterexample, witness, explored,
+                     hits, map(pair_of, done))
 
+
+def _conclude(kb, engine, outcome, counterexample, witness, explored, hits,
+              done_pairs):
+    """Commit a run's outcome to the knowledge and return (Verdict, kb):
+    a Holds commits every done pair, a Fails only its counterexample."""
     if outcome == HOLDS:
-        for node in done:
-            pair = pair_of(node)
+        for pair in done_pairs:
             kb.R.add(pair)
             engine.note_satisfied(pair)
     elif outcome == FAILS:
         kb.F.add(counterexample)
         engine.note_failed(counterexample)
+    # every explored node had its observation checked, except one that
+    # was inferred failing or went over the budget
+    subsets = explored - (outcome in (INFERRED_FAILS, UNKNOWN))
     stats = Stats(explored, hits, subsets)
     return Verdict(outcome, counterexample, witness, stats), kb
 
@@ -283,6 +373,8 @@ def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
     inferred_count) where results is a list of (Property, Verdict)."""
     engine = ClosureEngine(cfg)
     engine.load(kb)
+    # the states reachable from x0, explored once for every run below
+    walk = _Walk(sys, x0)
     results = []
     inferred = 0
     for prop in props:
@@ -295,7 +387,7 @@ def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
                             stats=Stats(pairs_explored=1, closure_hits=1))
         else:
             inner, kb = verify(sys, x0, prop.body, kb, cfg, engine=engine,
-                               max_pairs=max_pairs)
+                               max_pairs=max_pairs, _walk=walk)
         verdict = _property_verdict(prop, inner)
         if verdict.inferred():
             inferred += 1

@@ -117,6 +117,9 @@ def test_check_state_flag_limited_to_dial_and_lock(capsys):
     ("--model", "swat", "--quantum", "0", "G <(_,_,{true})>"),
     ("--model", "swat", "--quantum", "nan", "G <(_,_,{true})>"),
     ("--model", "dial", "--max-pairs", "0", "G <.!=3>"),
+    # a coarser quantum would scale the whole water model to 0
+    ("--model", "swat", "--quantum", "2", "G <(in[0,1000],_,_)>"),
+    ("--model", "swat", "--quantum", "inf", "G <(in[0,1000],_,_)>"),
 ])
 def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, "check", *argv)

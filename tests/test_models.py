@@ -1,7 +1,10 @@
+import pytest
+
 from cosafe.closure import ClosureConfig, KnowledgeBase
-from cosafe.models import (Q, R, S, attack_kinds, dial_model, lock_model,
-                           lock_properties, puzzle_model, puzzle_property,
-                           swat_attacks, swat_model, swat_properties)
+from cosafe.models import (Q, R, S, SwatParams, attack_kinds, dial_model,
+                           lock_model, lock_properties, puzzle_model,
+                           puzzle_property, swat_attacks, swat_model,
+                           swat_properties)
 from cosafe.verify import check_property
 
 
@@ -100,6 +103,14 @@ def test_swat_initial_step():
     # valve open: net inflow 0.46 - 0.44 = +0.02 per step (2 quanta)
     assert y == (50002, 50000, 250000, True)
     assert s.observe_value(y) == (50002, 250010, True)
+
+
+def test_swat_quantum_must_leave_one_quantum_per_unit():
+    for quantum in (2, 5.0, float("inf"), 0, -0.01, float("nan")):
+        with pytest.raises(ValueError):
+            SwatParams(quantum=quantum)
+    assert SwatParams(quantum=1.5).scale == 1
+    assert SwatParams(quantum=0.01).scale == 100
 
 
 def test_swat_valve_hysteresis():

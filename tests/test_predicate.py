@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cosafe.predicate import (BoolSpace, Complement, Empty, FiniteSet,
-                              FiniteSpace, Interval, LinearLink, Product,
-                              ProductSpace, ScaledLine, SpaceMismatch,
-                              Undecidable, Universe, complement, intersect,
-                              member, member_fn, subset)
+                              FiniteSpace, Intersection, Interval,
+                              LinearLink, Product, ProductSpace, ScaledLine,
+                              SpaceMismatch, Undecidable, Universe,
+                              complement, intersect, member, member_fn,
+                              subset)
 
 SPACE = FiniteSpace(frozenset(range(8)))
 LINE = ScaledLine(0.01)
@@ -147,3 +148,22 @@ def test_linear_link_interval_rule():
                              Universe(BoolSpace())))
     assert subset(both, dst_ok)
     assert not subset(both, dst_tight)
+
+
+PRODUCT_SPACE = ProductSpace((SPACE, SPACE, SPACE))
+components = st.one_of(st.just(Universe(SPACE)), preds)
+products = st.tuples(components, components, components).map(
+    lambda cs: Product(PRODUCT_SPACE, cs))
+links = st.builds(lambda src, dst, k: LinearLink(PRODUCT_SPACE, src, dst, k),
+                  st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+product_preds = st.one_of(
+    products,
+    products.map(lambda p: Complement(PRODUCT_SPACE, p)),
+    st.tuples(products, links).map(
+        lambda parts: Intersection(PRODUCT_SPACE, parts)),
+)
+
+
+@given(product_preds, st.tuples(*[st.integers(0, 7)] * 3))
+def test_member_fn_matches_member_on_products(p, o):
+    assert member_fn(p)(o) == member(p, o)

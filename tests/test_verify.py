@@ -1,16 +1,20 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cosafe.closure import (EQUIVARIANT, LITERAL, PRESERVING,
-                            AlgebraicOperator, ClosureConfig, KnowledgeBase)
+from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
+                            AlgebraicOperator, ClosureConfig, ClosureEngine,
+                            KnowledgeBase)
 from cosafe.coalgebra import System
 from cosafe.formula import ASSERT, REFUTE, TABLE, Property, formula_similarity
 from cosafe.models import (dial_model, dial_eventually, lock_model,
                            lock_operators, lock_properties, puzzle_model,
                            swat_model, swat_properties)
-from cosafe.predicate import Complement, FiniteSet, member
+from cosafe.predicate import (Complement, FiniteSet, FiniteSpace, Universe,
+                              member)
 from cosafe.syntax import SyntaxContext, print_formula
-from cosafe.verify import (FAILS, HOLDS, INFERRED_FAILS, INFERRED_HOLDS,
-                           UNKNOWN, Verdict, check_many, check_property,
+from cosafe.verify import (DEFAULT_MAX_PAIRS, FAILS, HOLDS, INFERRED_FAILS,
+                           INFERRED_HOLDS, UNKNOWN, Stats, Verdict,
+                           _property_verdict, check_many, check_property,
                            order_properties, verify)
 
 
@@ -423,3 +427,107 @@ def test_order_properties_stable_without_implications():
     d = dial_model()
     props = [dial_eventually(d, n) for n in (4, 1, 8)]
     assert order_properties(props, frozenset()) == props
+
+
+def test_verify_rejects_open_or_unguarded_formulae():
+    d = dial_model()
+    for psi in (TABLE.mk_nu(TABLE.var(0)), TABLE.var(0)):
+        kb, cfg = fresh()
+        with pytest.raises(ValueError):
+            verify(d, 0, psi, kb, cfg)
+        assert not kb.R and not kb.F
+
+
+def test_check_many_steps_each_state_once():
+    # lock(2) has 100 states; checked one by one, the five properties
+    # would step most of them five times
+    lock = lock_model(2)
+    stepped = []
+    base = lock.successors
+
+    def successors(x):
+        stepped.append(x)
+        return base(x)
+
+    lock.successors = successors
+    props = [Property("p%d" % v, ASSERT, neq_body(lock, v))
+             for v in (99, 42, 7, 0, 58)]
+    results, kb, _ = check_many(lock, 0, props, *fresh())
+    assert [v.outcome for _, v in results] == [FAILS] * 5
+    assert len(stepped) == len(set(stepped)) <= 100
+
+
+@st.composite
+def systems_and_properties(draw):
+    """A random deterministic system (at most 30 states and 3 inputs,
+    observations in 0..3), two start states, and G <Q> properties, each
+    asserted or refuted."""
+    n = draw(st.integers(1, 30))
+    inputs = tuple(range(draw(st.integers(1, 3))))
+    table = [tuple(draw(st.integers(0, n - 1)) for _ in inputs)
+             for _ in range(n)]
+    value = [draw(st.integers(0, 3)) for _ in range(n)]
+    space = FiniteSpace(frozenset(range(4)))
+    raw = draw(st.booleans())
+    system = System(
+        "random", inputs,
+        lambda x: FiniteSet(space, frozenset((value[x],))),
+        lambda x, i: table[x][i], observation_space=space,
+        observe_value=value.__getitem__ if raw else None)
+    system.input_pred = Universe(FiniteSpace(frozenset(inputs)))
+    props = []
+    for k in range(draw(st.integers(1, 6))):
+        allowed = FiniteSet(space, frozenset(
+            draw(st.sets(st.integers(0, 3), max_size=4))))
+        if draw(st.booleans()):
+            allowed = Complement(space, allowed)
+        body = TABLE.mk_always(TABLE.mk_obs(allowed), system.input_pred)
+        polarity = draw(st.sampled_from((ASSERT, REFUTE)))
+        props.append(Property("p%d" % k, polarity, body))
+    starts = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
+    return system, starts, props
+
+
+def searched_check_many(system, x0, props, kb, cfg, max_pairs):
+    """check_many with a search from x0 in every run: the same prescreen,
+    then verify on each property."""
+    engine = ClosureEngine(cfg)
+    engine.load(kb)
+    out = []
+    for prop in props:
+        pair = (x0, prop.body)
+        for hit, outcome in ((engine.sat_hit, INFERRED_HOLDS),
+                             (engine.fail_hit, INFERRED_FAILS)):
+            if hit(pair):
+                inner = Verdict(outcome, witness=pair,
+                                stats=Stats(pairs_explored=1, closure_hits=1))
+                break
+        else:
+            inner, kb = verify(system, x0, prop.body, kb, cfg,
+                               engine=engine, max_pairs=max_pairs)
+        out.append((prop, _property_verdict(prop, inner)))
+    return out, kb
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_and_properties(), st.sampled_from((LITERAL, IMAGE, BOTH)),
+       st.booleans(), st.sampled_from((3, 10, DEFAULT_MAX_PAIRS)))
+def test_check_many_walk_agrees_with_search(case, mode, implied, max_pairs):
+    system, starts, props = case
+    implication = (formula_similarity([p.body for p in props], system.inputs)
+                   if implied else None)
+    cfg = ClosureConfig(implication=implication, failure_mode=mode)
+
+    def show(results):
+        return [(p.name, v.outcome, v.counterexample, v.witness,
+                 v.stats.pairs_explored, v.stats.closure_hits,
+                 v.stats.subset_checks) for p, v in results]
+
+    kb_walk, kb_search = KnowledgeBase(), KnowledgeBase()
+    for x0 in starts:  # the second call meets the first one's knowledge
+        walked, kb_walk, _ = check_many(system, x0, props, kb_walk, cfg,
+                                        max_pairs=max_pairs)
+        searched, kb_search = searched_check_many(system, x0, props,
+                                                  kb_search, cfg, max_pairs)
+        assert show(walked) == show(searched)
+    assert (kb_walk.R, kb_walk.F) == (kb_search.R, kb_search.F)
