@@ -222,14 +222,16 @@ class ClosureEngine:
     """Incremental index of the closure of R and F.
 
     sat_index maps state -> formula ids known satisfied there (including
-    images under preserving operators); fail_index maps formula id ->
-    states where it is known to fail (including images under reflecting
-    operators).  Queries then only consult implication variants.
-    sat_formulae is every formula id that occurs in sat_index."""
+    images under preserving operators), sat_everywhere formula id ->
+    the state sets noted whole as satisfying it, and fail_index formula
+    id -> states where it is known to fail (including images under
+    reflecting operators).  Queries then only consult implication
+    variants.  sat_formulae is every formula id satisfied somewhere."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.sat_index = {}
+        self.sat_everywhere = {}
         self.sat_formulae = set()
         self.fail_index = {}
         self.raw_F = set()
@@ -257,6 +259,16 @@ class ClosureEngine:
                 have.add(f)
             self.sat_formulae.add(f)
 
+    def note_satisfied_everywhere(self, states, f):
+        """Note f satisfied at every state of a set the caller no longer
+        changes: one fact, unless preserving operators need the images."""
+        if self._sat_ops:
+            for x in states:
+                self.note_satisfied((x, f))
+        else:
+            self.sat_everywhere.setdefault(f, []).append(states)
+            self.sat_formulae.add(f)
+
     def note_failed(self, pair):
         self.raw_F.add(pair)
         for (x, f) in [pair, *_op_chains(pair, self._fail_ops, self.cfg.depth)]:
@@ -272,7 +284,8 @@ class ClosureEngine:
             have = self.sat_index.get(y)
             if have and not want.isdisjoint(have):
                 return True
-        return False
+        return any(y in states for g in want
+                   for states in self.sat_everywhere.get(g, ()) for y in xs)
 
     def fail_hit_image(self, pair):
         """Image direction: pair is an equivariant/reflecting image of a

@@ -251,6 +251,8 @@ class _Parser:
             self.take("]")
             if not isinstance(space, ScaledLine):
                 raise FormulaSyntaxError("'in' needs an integer-line component")
+            if lo > hi:
+                raise FormulaSyntaxError("in[%s,%s] is empty" % (lo, hi))
             return Interval(space, lo, hi)
         if op not in ("=", "!=", ">=", "<="):
             raise FormulaSyntaxError("unknown comparison %r" % op)

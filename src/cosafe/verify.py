@@ -27,11 +27,14 @@ the loop skips nothing and pushes every unseen successor in input
 order, so it would pop exactly the walk's states; the scan therefore
 gives the loop's verdict and counters (Fails at the first bad
 observation with its position as pairs explored, Holds after the whole
-walk, Unknown past the budget) and commits the same pairs.  Direct
-calls of verify always search.
+walk, Unknown past the budget) and commits the same pairs, but to the
+closure engine a scanned Holds is one fact: the formula holds at every
+state reachable from x0.  Direct calls of verify always search.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress, count, islice, repeat
+from operator import not_
 
 from .closure import BOTH, IMAGE, LITERAL, ClosureEngine
 from .formula import ASSERT
@@ -100,39 +103,41 @@ class _Walk:
         self.successors = sys.successors
         self.states = []
         self.obs = []
+        self.seen = {x0}
         self._todo = [x0]
-        self._seen = {x0}
         self._unexpanded = None  # the last listed state
-
-    def extend(self):
-        """List one more state; False once every reachable state is."""
-        todo, seen = self._todo, self._seen
-        if self._unexpanded is not None:
-            for y in self.successors(self._unexpanded):
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-            self._unexpanded = None
-        if not todo:
-            return False
-        x = todo[-1]
-        self.obs.append(self.observe(x))
-        self.states.append(todo.pop())
-        self._unexpanded = x
-        return True
 
     def scan(self, check, max_pairs):
         """What the search loop gives on bare states when no knowledge
         can steer it: (outcome, pairs explored, failing state)."""
         states, obs = self.states, self.obs
-        i = 0
-        while i < len(obs) or self.extend():
+        i = min(len(obs), max_pairs)
+        bad = next(compress(count(), map(not_, map(check, islice(obs, i)))),
+                   None)
+        if bad is not None:
+            return FAILS, bad + 1, states[bad]
+        if i < len(obs):
+            return UNKNOWN, i + 1, None
+        todo, seen = self._todo, self.seen
+        successors, observe = self.successors, self.observe
+        while True:
+            if self._unexpanded is not None:
+                for y in successors(self._unexpanded):
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+                self._unexpanded = None
+            if not todo:
+                return HOLDS, i, None
+            o = observe(todo[-1])
+            obs.append(o)
+            states.append(todo.pop())
+            self._unexpanded = states[-1]
             if i == max_pairs:
                 return UNKNOWN, i + 1, None
-            if not check(obs[i]):
+            if not check(o):
                 return FAILS, i + 1, states[i]
             i += 1
-        return HOLDS, i, None
 
 
 def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
@@ -242,10 +247,15 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
         # exactly the walk's states, in its order: scan the walk instead.
         outcome, explored, bad = _walk.scan(checks[psi0], max_pairs)
         counterexample = (bad, psi0) if outcome == FAILS else None
+        if outcome == HOLDS:  # so seen is every state reachable from x0
+            kb.R.update(zip(_walk.states, repeat(psi0)))
+            engine.note_satisfied_everywhere(_walk.seen, psi0)
         return _conclude(kb, engine, outcome, counterexample, None,
-                         explored, 0, ((x, psi0) for x in _walk.states))
+                         explored, 0, ())
 
     sat_committed = engine.sat_index
+    held = {f: [s for g in implicants[f]
+                for s in engine.sat_everywhere.get(g, ())] for f in reach}
     state_sim = cfg.state_sim
 
     def committed(node):
@@ -255,6 +265,9 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
             have = sat_committed.get(y)
             if have and not want.isdisjoint(have):
                 return True
+            for states in held[f]:
+                if y in states:
+                    return True
         return False
 
     done = set()
@@ -266,10 +279,11 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
             derivable.add(node_of(pair[0], f))
 
     # a node that knowledge shows satisfied is skipped, as a closure hit
-    knows = closing or bool(sat_committed)
+    any_committed = bool(sat_committed) or any(held.values())
+    knows = closing or any_committed
 
     def known(node):
-        return node in derivable or (sat_committed and committed(node))
+        return node in derivable or (any_committed and committed(node))
 
     # Depth-first: a successor suspected of failing is pushed last and
     # ends the expansion, so the counterexample path is followed first.

@@ -120,6 +120,7 @@ def test_check_state_flag_limited_to_dial_and_lock(capsys):
     # a coarser quantum would scale the whole water model to 0
     ("--model", "swat", "--quantum", "2", "G <(in[0,1000],_,_)>"),
     ("--model", "swat", "--quantum", "inf", "G <(in[0,1000],_,_)>"),
+    ("--model", "swat", "G <(in[5,1],_,_)>"),
 ])
 def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, "check", *argv)

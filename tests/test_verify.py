@@ -457,11 +457,82 @@ def test_check_many_steps_each_state_once():
     assert len(stepped) == len(set(stepped)) <= 100
 
 
+def even_dial():
+    """The dial stepping by 2: from 0 it reaches 0, 2, 4, 6, 8, in that
+    order, and records each state it steps."""
+    d = dial_model()
+    d.stepped = []
+
+    def step(x, i):
+        d.stepped.append(x)
+        return (x + 2) % 10
+
+    d.step = step
+    return d
+
+
+def test_scanned_holds_still_indexes_preserving_images():
+    # turning by 2 commutes with the step, so x |= G <.!=1> gives
+    # x + 2 |= G <.!=3>; only the image index can tell the second run
+    d = even_dial()
+    odd1, odd3 = neq_body(d, 1), neq_body(d, 3)
+    kb, cfg = fresh((dial_turn(2, PRESERVING),), failure_mode=IMAGE)
+    props = [Property("!=1", ASSERT, odd1), Property("!=3", ASSERT, odd3)]
+    results, kb, inferred = check_many(d, 0, props, kb, cfg)
+    assert [(v.outcome, v.stats.pairs_explored) for _, v in results] == \
+        [(HOLDS, 5), (INFERRED_HOLDS, 1)]
+    assert inferred == 1
+    assert kb.R == {(x, odd1) for x in (0, 2, 4, 6, 8)}
+
+
+def test_search_reads_a_scanned_holds():
+    # G <.!=1> unfolded once: a search on (state, formula) pairs whose
+    # obligation after the first step is what the first run proved at
+    # every state it walked
+    d = even_dial()
+    space = d.observation_space
+    odd1 = neq_body(d, 1)
+    unfolded = TABLE.mk_and([
+        TABLE.mk_obs(Complement(space, FiniteSet(space, frozenset((1,))))),
+        TABLE.mk_box(d.input_pred, odd1)])
+    props = [Property("G", ASSERT, odd1), Property("once", ASSERT, unfolded)]
+    results, kb, _ = check_many(d, 0, props, *fresh())
+    assert [(v.outcome, v.stats.pairs_explored, v.stats.closure_hits)
+            for _, v in results] == [(HOLDS, 5, 0), (HOLDS, 1, 1)]
+    assert kb.R == {(x, odd1) for x in (0, 2, 4, 6, 8)} | {(0, unfolded)}
+
+
+@pytest.mark.parametrize("first, max_pairs, outcomes, stepped", [
+    # the first run lists all five states, the second is one short
+    (1, 4, [(UNKNOWN, 5), (UNKNOWN, 5)], [0, 2, 4, 6]),
+    # the first run lists 0, 2, 4, 6; the second lists 8 and stops
+    (6, 4, [(FAILS, 4), (UNKNOWN, 5)], [0, 2, 4, 6]),
+    # the budget is exactly the reachable count
+    (1, 5, [(HOLDS, 5), (HOLDS, 5)], [0, 2, 4, 6, 8]),
+])
+def test_walk_budget_edges(first, max_pairs, outcomes, stepped):
+    d = even_dial()
+    props = [Property("first", ASSERT, neq_body(d, first)),
+             Property("!=3", ASSERT, neq_body(d, 3))]
+    results, _, _ = check_many(d, 0, props, *fresh(), max_pairs=max_pairs)
+    assert [(v.outcome, v.stats.pairs_explored)
+            for _, v in results] == outcomes
+    assert d.stepped == stepped
+    # the same verdicts as a search for each property alone
+    for (prop, _), expect in zip(results, outcomes):
+        searched, _ = verify(d, 0, prop.body, *fresh(), max_pairs=max_pairs)
+        assert (searched.outcome, searched.stats.pairs_explored) == expect
+
+
 @st.composite
 def systems_and_properties(draw):
     """A random deterministic system (at most 30 states and 3 inputs,
-    observations in 0..3), two start states, and G <Q> properties, each
-    asserted or refuted."""
+    observations in 0..3), two start states, properties, each asserted
+    or refuted, and an optional random state simulation.  A property is
+    G <Q>, or after the first <Q> & [A] G <Q'> or G <Q> & [A] G <Q'>
+    for a set A of inputs, whose nodes are (state, formula) pairs.  Each
+    G <Q> is drawn from the same few, one of which holds at every state,
+    so that runs on pairs meet what earlier G runs committed."""
     n = draw(st.integers(1, 30))
     inputs = tuple(range(draw(st.integers(1, 3))))
     table = [tuple(draw(st.integers(0, n - 1)) for _ in inputs)
@@ -474,18 +545,38 @@ def systems_and_properties(draw):
         lambda x: FiniteSet(space, frozenset((value[x],))),
         lambda x, i: table[x][i], observation_space=space,
         observe_value=value.__getitem__ if raw else None)
-    system.input_pred = Universe(FiniteSpace(frozenset(inputs)))
-    props = []
-    for k in range(draw(st.integers(1, 6))):
+    input_space = FiniteSpace(frozenset(inputs))
+    system.input_pred = Universe(input_space)
+
+    def observation():
         allowed = FiniteSet(space, frozenset(
             draw(st.sets(st.integers(0, 3), max_size=4))))
         if draw(st.booleans()):
             allowed = Complement(space, allowed)
-        body = TABLE.mk_always(TABLE.mk_obs(allowed), system.input_pred)
+        return TABLE.mk_obs(allowed)
+
+    everywhere = TABLE.mk_obs(FiniteSet(space, frozenset(value)))
+    always = [TABLE.mk_always(obs, system.input_pred) for obs in
+              [everywhere] + [observation()
+                              for _ in range(draw(st.integers(0, 2)))]]
+    props = []
+    for k in range(draw(st.integers(1, 6))):
+        body = draw(st.sampled_from(always))
+        kind = draw(st.sampled_from(("G", "<Q> & [A] G", "G & [A] G")))
+        if k and kind != "G":
+            after = FiniteSet(input_space, frozenset(
+                draw(st.sets(st.sampled_from(inputs), min_size=1))))
+            first = observation() if kind == "<Q> & [A] G" else body
+            body = TABLE.mk_and([first, TABLE.mk_box(
+                after, draw(st.sampled_from(always)))])
         polarity = draw(st.sampled_from((ASSERT, REFUTE)))
         props.append(Property("p%d" % k, polarity, body))
     starts = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
-    return system, starts, props
+    state_sim = None
+    if draw(st.booleans()):
+        state_sim = {x: draw(st.sets(st.integers(0, n - 1), max_size=2))
+                     for x in range(n)}
+    return system, starts, props, state_sim
 
 
 def searched_check_many(system, x0, props, kb, cfg, max_pairs):
@@ -509,14 +600,17 @@ def searched_check_many(system, x0, props, kb, cfg, max_pairs):
     return out, kb
 
 
-@settings(max_examples=150, deadline=None)
-@given(systems_and_properties(), st.sampled_from((LITERAL, IMAGE, BOTH)),
+# Hypothesis draws the first mode most often: runs scan the walk only
+# under the first two
+@settings(max_examples=300, deadline=None)
+@given(systems_and_properties(), st.sampled_from((IMAGE, BOTH, LITERAL)),
        st.booleans(), st.sampled_from((3, 10, DEFAULT_MAX_PAIRS)))
 def test_check_many_walk_agrees_with_search(case, mode, implied, max_pairs):
-    system, starts, props = case
+    system, starts, props, state_sim = case
     implication = (formula_similarity([p.body for p in props], system.inputs)
                    if implied else None)
-    cfg = ClosureConfig(implication=implication, failure_mode=mode)
+    cfg = ClosureConfig(state_sim=state_sim, implication=implication,
+                        failure_mode=mode)
 
     def show(results):
         return [(p.name, v.outcome, v.counterexample, v.witness,
