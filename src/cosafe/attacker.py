@@ -51,9 +51,11 @@ class Attacker:
 
 def apply_attack(sys, attack):
     """The attacked system: same states and alphabet, transformed
-    observation and/or transition maps."""
+    observation and/or transition maps.  Its successors are the base
+    system's, each passed through the state transform."""
     observe = sys.observe
     step = sys.step
+    successors = sys.successors
     if attack.obs_transform is not None:
         base_observe = observe
         transform = attack.obs_transform
@@ -62,16 +64,20 @@ def apply_attack(sys, attack):
             return transform(base_observe(x))
     if attack.state_transform is not None:
         base_step = step
+        base_successors = successors
         tau = attack.state_transform
 
         def step(x, i):
             return tau(base_step(x, i))
+
+        def successors(x):
+            return tuple(map(tau, base_successors(x)))
     # the raw-observation fast path survives a state transform but not a
     # rewritten observation map
     ov = None if attack.obs_transform is not None else sys.observe_value
     return System("%s+%s" % (sys.name, attack.name), sys.inputs,
                   observe, step, observation_space=sys.observation_space,
-                  observe_value=ov)
+                  successors=successors, observe_value=ov)
 
 
 class CapabilityReport:

@@ -99,19 +99,50 @@ class KnowledgeBase:
     """Confirmed-satisfying pairs R and confirmed-failing pairs F,
     threaded across verification runs.  R holds only pairs committed by
     completed successful runs (or trusted input); F holds only direct
-    observation-failure counterexamples."""
+    observation-failure counterexamples.
+
+    R is kept by formula: sat[f] is the set of states where f is
+    confirmed, so committing a whole set of states for one formula is
+    one set merge that builds no pairs.  Write R through commit and
+    commit_all; the R property gives it as a set of (state, formula)
+    pairs."""
 
     def __init__(self, R=(), F=()):
-        self.R = set(R)
+        self.sat = {}
+        for x, f in R:
+            self.commit(x, f)
         self.F = set(F)
-        if self.R & self.F:
+        if any(x in self.sat.get(f, ()) for x, f in self.F):
             raise ValueError("R and F overlap")
 
+    @property
+    def R(self):
+        return frozenset((x, f) for f, xs in self.sat.items() for x in xs)
+
+    def commit(self, x, f):
+        """Confirm f at x."""
+        xs = self.sat.get(f)
+        if xs is None:
+            self.sat[f] = {x}
+        else:
+            xs.add(x)
+
+    def commit_all(self, states, f):
+        """Confirm f at every state of an iterable of states."""
+        xs = self.sat.get(f)
+        if xs is None:
+            self.sat[f] = set(states)
+        else:
+            xs.update(states)
+
     def copy(self):
-        return KnowledgeBase(self.R, self.F)
+        kb = KnowledgeBase(F=self.F)
+        kb.sat = {f: set(xs) for f, xs in self.sat.items()}
+        return kb
 
     def __repr__(self):
-        return "KnowledgeBase(|R|=%d, |F|=%d)" % (len(self.R), len(self.F))
+        return "KnowledgeBase(|R|=%d, |F|=%d)" % (
+            sum(map(len, self.sat.values())), len(self.F))
 
 
 class ClosureConfig:
@@ -242,8 +273,8 @@ class ClosureEngine:
         self._lit_cfg = None
 
     def load(self, kb):
-        for pair in kb.R:
-            self.note_satisfied(pair)
+        for f, xs in kb.sat.items():
+            self.note_satisfied_everywhere(set(xs), f)
         for pair in kb.F:
             self.note_failed(pair)
 

@@ -274,12 +274,15 @@ def swat_model(params=None):
             valve2 = valve
         return (t2, lit2, hg2, valve2)
 
+    def successors(x):
+        return (step(x, "*"),)
+
     def observe_value(x):
         t, lit, hg, valve = x
         return (t, g * t, hg == g * lit)
 
     sys = System("swat", ("*",), observe, step, observation_space=space,
-                 observe_value=observe_value)
+                 successors=successors, observe_value=observe_value)
     sys.input_pred = Universe(FiniteSpace(frozenset(sys.inputs)))
     sys.params = p
     sys.initial = (500 * p.scale, 500 * p.scale, g * 500 * p.scale, True)

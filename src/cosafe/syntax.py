@@ -24,8 +24,12 @@ Grammar (whitespace-insensitive)::
     setlit   := '{' value (',' value)* '}'
 
 '>=' and '<=' require a finite component space; 'in' builds an exact
-integer interval.  Values are parsed by the model context (integers by
-default, 'true'/'false' on boolean components).
+integer interval.  Over a product space a predicate is 'tt', a product
+or a link: '.' comparisons and set literals constrain one component, so
+they are written inside '(' comp, ... ')'.  'link' names two
+integer-line components of a product space by index.  Values are parsed
+by the model context (integers by default, 'true'/'false' on boolean
+components).
 """
 
 import re
@@ -195,6 +199,10 @@ class _Parser:
         if tok == "tt":
             self.take()
             return Universe(space)
+        if tok in (".", "{", "!") and isinstance(space, ProductSpace):
+            raise FormulaSyntaxError(
+                "a scalar predicate over a product space; write one "
+                "component per factor: (c1,...,c%d)" % space.arity)
         if tok == ".":
             self.take()
             return self.cmp(space, None)
@@ -205,12 +213,14 @@ class _Parser:
             return complement(self.setlit(space, None))
         if tok == "link":
             self.take()
+            if not isinstance(space, ProductSpace):
+                raise FormulaSyntaxError("link over a non-product space")
             self.take("[")
-            src = int(self.take())
+            src = self.line_component(space)
             self.take(",")
-            dst = int(self.take())
+            dst = self.line_component(space)
             self.take(",")
-            factor = int(self.take())
+            factor = self.integer()
             self.take("]")
             return LinearLink(space, src=src, dst=dst, factor=factor)
         if tok == "(":
@@ -227,6 +237,24 @@ class _Parser:
                                          % (len(comps), space.arity))
             return Product(space, tuple(comps))
         raise FormulaSyntaxError("unexpected token %r in predicate" % tok)
+
+    def integer(self):
+        tok = self.take()
+        try:
+            return int(tok)
+        except ValueError:
+            raise FormulaSyntaxError("expected an integer, got %r" % tok)
+
+    def line_component(self, space):
+        """The index of an integer-line component of a product space."""
+        k = self.integer()
+        if not 0 <= k < space.arity:
+            raise FormulaSyntaxError("component %d out of range 0..%d"
+                                     % (k, space.arity - 1))
+        if not isinstance(space.components[k], ScaledLine):
+            raise FormulaSyntaxError("link needs integer-line components; "
+                                     "component %d is not one" % k)
+        return k
 
     def comp(self, idx):
         space = self.ctx.component_space(idx)

@@ -27,13 +27,16 @@ the loop skips nothing and pushes every unseen successor in input
 order, so it would pop exactly the walk's states; the scan therefore
 gives the loop's verdict and counters (Fails at the first bad
 observation with its position as pairs explored, Holds after the whole
-walk, Unknown past the budget) and commits the same pairs, but to the
-closure engine a scanned Holds is one fact: the formula holds at every
-state reachable from x0.  Direct calls of verify always search.
+walk, Unknown past the budget) and commits the same pairs.  A scanned
+Holds commits them as one fact, the formula holds at every state
+reachable from x0: the knowledge base merges the walk's state set into
+the formula's (KnowledgeBase.commit_all), and the closure engine keeps
+the set whole (ClosureEngine.note_satisfied_everywhere).  Direct calls
+of verify always search.
 """
 
 from dataclasses import dataclass, field
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice
 from operator import not_
 
 from .closure import BOTH, IMAGE, LITERAL, ClosureEngine
@@ -71,10 +74,6 @@ class Verdict:
 
     def inferred(self):
         return self.outcome in (INFERRED_HOLDS, INFERRED_FAILS)
-
-
-class ResourceLimit(Exception):
-    pass
 
 
 def _observe_member_fn(obs_pred):
@@ -120,24 +119,28 @@ class _Walk:
             return UNKNOWN, i + 1, None
         todo, seen = self._todo, self.seen
         successors, observe = self.successors, self.observe
-        while True:
-            if self._unexpanded is not None:
-                for y in successors(self._unexpanded):
-                    if y not in seen:
-                        seen.add(y)
-                        todo.append(y)
-                self._unexpanded = None
-            if not todo:
-                return HOLDS, i, None
-            o = observe(todo[-1])
-            obs.append(o)
-            states.append(todo.pop())
-            self._unexpanded = states[-1]
-            if i == max_pairs:
-                return UNKNOWN, i + 1, None
-            if not check(o):
-                return FAILS, i + 1, states[i]
-            i += 1
+        x = self._unexpanded
+        try:
+            while True:
+                if x is not None:
+                    for y in successors(x):
+                        if y not in seen:
+                            seen.add(y)
+                            todo.append(y)
+                    x = None
+                if not todo:
+                    return HOLDS, i, None
+                o = observe(todo[-1])
+                x = todo.pop()
+                obs.append(o)
+                states.append(x)
+                if i == max_pairs:
+                    return UNKNOWN, i + 1, None
+                if not check(o):
+                    return FAILS, i + 1, x
+                i += 1
+        finally:
+            self._unexpanded = x
 
 
 def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
@@ -248,7 +251,7 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
         outcome, explored, bad = _walk.scan(checks[psi0], max_pairs)
         counterexample = (bad, psi0) if outcome == FAILS else None
         if outcome == HOLDS:  # so seen is every state reachable from x0
-            kb.R.update(zip(_walk.states, repeat(psi0)))
+            kb.commit_all(_walk.seen, psi0)
             engine.note_satisfied_everywhere(_walk.seen, psi0)
         return _conclude(kb, engine, outcome, counterexample, None,
                          explored, 0, ())
@@ -344,7 +347,7 @@ def _conclude(kb, engine, outcome, counterexample, witness, explored, hits,
     a Holds commits every done pair, a Fails only its counterexample."""
     if outcome == HOLDS:
         for pair in done_pairs:
-            kb.R.add(pair)
+            kb.commit(*pair)
             engine.note_satisfied(pair)
     elif outcome == FAILS:
         kb.F.add(counterexample)

@@ -55,6 +55,42 @@ def test_obs_forcing_equals_transition_forcing_from_zero():
     assert behaviour_prefix(alpha, 5, 0) != behaviour_prefix(beta, 5, 0)
 
 
+def walked_states(sys, x0, limit):
+    """The first `limit` states reachable from x0, breadth first over
+    step (independent of successors)."""
+    seen, out = {x0}, [x0]
+    for x in out:
+        if len(out) >= limit:
+            break
+        for i in sys.inputs:
+            y = sys.step(x, i)
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out[:limit]
+
+
+def attacked_systems():
+    """(attacked system, states to compare on): every dial state, and
+    the first 300 states of each attacked water model."""
+    d = dial_model()
+    kinds = attack_kinds(d)
+    for kind in ("force_state", "force_obs"):
+        yield apply_attack(d, kinds[kind]({"value": 3})), range(10)
+    s = swat_model()
+    for atk in swat_attacks(s).values():
+        attacked = apply_attack(s, atk)
+        yield attacked, walked_states(attacked, s.initial, 300)
+
+
+def test_attacked_successors_equal_stepping_each_input():
+    for attacked, states in attacked_systems():
+        for x in states:
+            assert attacked.successors(x) == tuple(
+                attacked.step(x, i) for i in attacked.inputs), (
+                    attacked.name, x)
+
+
 def swat_setup():
     s = swat_model()
     props = swat_properties(s)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -121,6 +125,14 @@ def test_check_state_flag_limited_to_dial_and_lock(capsys):
     ("--model", "swat", "--quantum", "2", "G <(in[0,1000],_,_)>"),
     ("--model", "swat", "--quantum", "inf", "G <(in[0,1000],_,_)>"),
     ("--model", "swat", "G <(in[5,1],_,_)>"),
+    # link[src,dst,factor] needs integers naming components of a product
+    ("--model", "swat", "G <link[a,1,2]>"),
+    ("--model", "dial", "G <link[0,1,2]>"),
+    ("--model", "swat", "G <link[0,5,2]>"),
+    # a scalar predicate cannot constrain a product observation
+    ("--model", "swat", "G <.=3>"),
+    ("--model", "swat", "G <{3}>"),
+    ("--model", "swat", "G <!{3}>"),
 ])
 def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, "check", *argv)
@@ -128,6 +140,21 @@ def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_python_m_cosafe_runs_from_a_checkout():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "cosafe", "check", "--model", "dial",
+         "F <.=7>"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["outcome"] == "Holds"
+    done = subprocess.run(
+        [sys.executable, "-m", "cosafe", "check", "--model", "swat",
+         "G <.=3>"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_digits_bounded_before_the_lock_is_built(capsys, monkeypatch):

@@ -102,6 +102,32 @@ def test_knowledge_base_rejects_overlap():
         KnowledgeBase(R=[(0, 1)], F=[(0, 1)])
 
 
+def test_knowledge_base_keeps_r_as_pairs():
+    pairs = [(0, 1), (2, 1), (0, 3), (2, 1)]
+    kb = KnowledgeBase(R=pairs, F=[(1, 1)])
+    assert kb.R == set(pairs)
+    assert repr(kb) == "KnowledgeBase(|R|=3, |F|=1)"
+    kb.commit(4, 3)
+    kb.commit_all({5, 6, 0}, 7)
+    kb.commit_all([6, 8], 7)
+    assert kb.R == set(pairs) | {(4, 3), (5, 7), (6, 7), (0, 7), (8, 7)}
+    with pytest.raises(AttributeError):
+        kb.R = set()
+
+
+def test_knowledge_base_copy_is_independent():
+    kb = KnowledgeBase(R=[(0, 1), (2, 1)], F=[(3, 1)])
+    dup = kb.copy()
+    assert (dup.R, dup.F) == (kb.R, kb.F)
+    dup.commit(4, 1)
+    dup.commit_all([5], 9)
+    dup.F.add((6, 1))
+    kb.commit(7, 1)
+    assert kb.R == {(0, 1), (2, 1), (7, 1)} and kb.F == {(3, 1)}
+    assert dup.R == {(0, 1), (2, 1), (4, 1), (5, 9)}
+    assert dup.F == {(3, 1), (6, 1)}
+
+
 def test_infer_satisfied_through_operator_image(lock, lock_ops):
     f = neq_formula(lock, 1234)
     kb = KnowledgeBase(R=[(5678, f)])

@@ -94,6 +94,21 @@ def test_parse_errors(dial_ctx, swat_ctx):
         parse_formula("<(_,_,{yes})>", swat_ctx)  # bad boolean literal
     with pytest.raises(FormulaSyntaxError):
         parse_formula("<(_,_)>", swat_ctx)  # wrong arity
+    for bad in ("<link[a,1,2]>",   # not an integer
+                "<link[0,1,x]>",
+                "<link[0,5,2]>",   # no component 5
+                "<link[-1,1,2]>",
+                "<link[0,2,1]>",   # component 2 is boolean
+                "<.=3>",           # scalar predicates over a product
+                "<{3}>",
+                "<!{3}>",
+                "<.in[0,5]>"):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(bad, swat_ctx)
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("<link[0,1,2]>", dial_ctx)  # not a product space
+    with pytest.raises(FormulaSyntaxError):
+        parse_property("F <.=3>", swat_ctx)
 
 
 def test_print_parse_roundtrip_dial(dial_ctx):
