@@ -12,6 +12,7 @@ integer line: a value is an integer count of a declared quantum (default
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 
 class SpaceMismatch(TypeError):
@@ -193,42 +194,79 @@ def member(p, o):
 
 
 def member_fn(p):
-    """Compile p into a membership closure equivalent to member(p, .);
-    used on the verifier's hot path."""
+    """Compile p into a membership function equivalent to member(p, .),
+    for the verifier's hot path: one Python expression over the
+    observation o (`o in c`, `c1 <= o <= c2`, `not`, `o[k]` for each
+    constrained Product component, `and` for an Intersection,
+    `o[d] == c * o[s]` for a LinearLink), so a check is one call however
+    deeply p nests.  Constants are bound by name, not written into the
+    source, so predicates of one shape share one compiled factory.
+
+    The function's attribute first_miss(obs, start, stop) runs the same
+    expression in a loop: the first index i in [start, stop) with obs[i]
+    not in p, or None (indices past the end of obs are not in range)."""
+    consts = []
+    expr = _expr(p, "o", consts)
+    return _factory(expr, len(consts))(*consts)
+
+
+_FACTORY = """\
+def factory({params}):
+    def member(o):
+        return {expr}
+
+    def first_miss(obs, start, stop):
+        for i in range(start, min(stop, len(obs))):
+            o = obs[i]
+            if not ({expr}):
+                return i
+        return None
+
+    member.first_miss = first_miss
+    return member
+"""
+
+
+@cache
+def _factory(expr, n):
+    """The compiled factory of one predicate shape: it takes the n
+    constants c0..c(n-1) and returns the membership function."""
+    params = ", ".join("c%d" % k for k in range(n))
+    namespace = {}
+    exec(_FACTORY.format(params=params, expr=expr), namespace)
+    return namespace["factory"]
+
+
+def _expr(p, o, consts):
+    """The source of an expression equal to member(p, o) for the
+    observation expression o; each constant is appended to consts and
+    named by its position there."""
+    def const(value):
+        consts.append(value)
+        return "c%d" % (len(consts) - 1)
+
     if isinstance(p, Empty):
-        return lambda o: False
+        return "False"
     if isinstance(p, Universe):
-        return lambda o: True
+        return "True"
     if isinstance(p, FiniteSet):
-        return p.values.__contains__
+        return "%s in %s" % (o, const(p.values))
     if isinstance(p, Interval):
-        lo, hi = p.lo, p.hi
-        return lambda o: lo <= o <= hi
+        return "%s <= %s <= %s" % (const(p.lo), o, const(p.hi))
     if isinstance(p, Complement):
-        inner = member_fn(p.inner)
-        return lambda o: not inner(o)
+        return "not (%s)" % _expr(p.inner, o, consts)
     if isinstance(p, Product):
         # only the constrained components are looked at
-        fns = tuple((k, c, member_fn(c)) for k, c in enumerate(p.components)
-                    if not isinstance(c, Universe))
-        if not fns:
-            return lambda o: True
-        if len(fns) == 1:
-            k, c, f = fns[0]
-            if isinstance(c, Interval):
-                lo, hi = c.lo, c.hi
-                return lambda o: lo <= o[k] <= hi
-            return lambda o: f(o[k])
-        return lambda o: all(f(o[k]) for k, _, f in fns)
+        return " and ".join(
+            "(%s)" % _expr(c, "%s[%s]" % (o, const(k)), consts)
+            for k, c in enumerate(p.components)
+            if not isinstance(c, Universe)) or "True"
     if isinstance(p, Intersection):
-        fns = tuple(member_fn(part) for part in p.parts)
-        if len(fns) == 2:
-            first, second = fns
-            return lambda o: first(o) and second(o)
-        return lambda o: all(f(o) for f in fns)
+        return " and ".join("(%s)" % _expr(part, o, consts)
+                            for part in p.parts) or "True"
     if isinstance(p, LinearLink):
-        src, dst, k = p.src, p.dst, p.factor
-        return lambda o: o[dst] == k * o[src]
+        return "%s[%s] == %s * %s[%s]" % (o, const(p.dst), const(p.factor),
+                                          o, const(p.src))
     raise TypeError("unknown predicate %r" % (p,))
 
 

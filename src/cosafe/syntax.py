@@ -165,7 +165,7 @@ class _Parser:
                 raise FormulaSyntaxError(str(e))
         if tok == "[":
             self.take()
-            pred = self.pred(input_space=True)
+            pred = self.box_pred()
             self.take("]")
             return t.mk_box(pred, self.term())
         if tok == "<":
@@ -237,6 +237,21 @@ class _Parser:
                                          % (len(comps), space.arity))
             return Product(space, tuple(comps))
         raise FormulaSyntaxError("unexpected token %r in predicate" % tok)
+
+    def box_pred(self):
+        """A box predicate: every value it names is one of the model's
+        inputs."""
+        pred = self.pred(input_space=True)
+        named = pred.inner if isinstance(pred, Complement) else pred
+        if isinstance(named, FiniteSet):
+            alphabet = pred.space.enumerate()
+            unknown = named.values - alphabet
+            if unknown:
+                raise FormulaSyntaxError(
+                    "%s not among the model's inputs %s"
+                    % (", ".join(sorted(map(repr, unknown))),
+                       sorted(alphabet, key=repr)))
+        return pred
 
     def integer(self):
         tok = self.take()

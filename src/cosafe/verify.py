@@ -19,20 +19,26 @@ what the exploration statistics measure.
 check_many explores each system once.  Its runs share one walk: the
 states reachable from x0 in the loop's own pop order, each with its
 observation, listed lazily and extended only when a run scans past its
-end.  A run scans the walk instead of searching when no knowledge can
-steer it: its nodes are bare states, no failing node is known, the
-literal failure check is off, no tentative closure applies, and no
-implicant of the formula is committed anywhere.  Under those conditions
-the loop skips nothing and pushes every unseen successor in input
-order, so it would pop exactly the walk's states; the scan therefore
-gives the loop's verdict and counters (Fails at the first bad
-observation with its position as pairs explored, Holds after the whole
-walk, Unknown past the budget) and commits the same pairs.  A scanned
+end.  With one input (SWaT, its attacked systems, the dial) the walk is
+a path, x0, step(x0), ... up to the first repeat, and it is stepped with
+sys.step directly, with no stack and no successors tuple.  A run scans
+the walk instead of searching when no knowledge can steer it: its nodes
+are bare states, no failing node is known, the literal failure check is
+off, no tentative closure applies, and no implicant of the formula is
+committed anywhere.  Under those conditions the loop skips nothing and
+pushes every unseen successor in input order, so it would pop exactly
+the walk's states; the scan therefore gives the loop's verdict and
+counters (Fails at the first bad observation with its position as pairs
+explored, Holds after the whole walk, Unknown past the budget) and
+commits the same pairs.  A scanned
 Holds commits them as one fact, the formula holds at every state
 reachable from x0: the knowledge base merges the walk's state set into
 the formula's (KnowledgeBase.commit_all), and the closure engine keeps
-the set whole (ClosureEngine.note_satisfied_everywhere).  Direct calls
-of verify always search.
+the set whole (ClosureEngine.note_satisfied_everywhere).  A scan checks
+the states already listed in one loop: with value observations, the
+first_miss loop that predicate.member_fn compiles from the formula's
+observation predicate, so no state costs a Python call.  Direct calls of
+verify always search.
 """
 
 from dataclasses import dataclass, field
@@ -77,11 +83,21 @@ class Verdict:
 
 
 def _observe_member_fn(obs_pred):
-    """Fast membership test for the common singleton-observation case."""
+    """The observation check of a system whose states observe a
+    predicate (no observe_value): the state's observation, a FiniteSet
+    or any predicate, must lie inside obs_pred.  Like a member_fn, it
+    carries first_miss(obs, start, stop), here one pass of the check
+    over obs[start:stop]."""
     def check(state_obs):
         if isinstance(state_obs, FiniteSet):
             return all(member(obs_pred, v) for v in state_obs.values)
         return subset(state_obs, obs_pred)
+
+    def first_miss(obs, start, stop):
+        return next(compress(count(start), map(
+            not_, map(check, islice(obs, start, stop)))), None)
+
+    check.first_miss = first_miss
     return check
 
 
@@ -90,33 +106,42 @@ class _Walk:
     with its observation, listed only as far as some run has asked.
 
     It is the loop's own depth-first order: pop the last pushed state,
-    then push each successor not seen before, in input order.  A state's
-    successors are taken only when the state after it is asked for, so a
-    run that stops at the k-th state has stepped the same k - 1 states as
-    the loop would.  Nothing changes before step and observe return, so a
-    system that raises leaves the walk as it was."""
+    then push each successor not seen before, in input order.  With one
+    input every state has one successor, so the order is the path x0,
+    step(x0), ... up to the first repeat, and the walk steps along it
+    with no stack.  A state's successors are taken only when the state
+    after it is asked for, so a run that stops at the k-th state has
+    stepped the same k - 1 states as the loop would.  The walk records a
+    step or an observation only once it has returned, so a system that
+    raises leaves the walk as it was, and a retry steps no state
+    twice."""
 
     def __init__(self, sys, x0):
         self.observe = (sys.observe if sys.observe_value is None
                         else sys.observe_value)
         self.successors = sys.successors
+        self.step = sys.step
+        self.inputs = sys.inputs
         self.states = []
         self.obs = []
         self.seen = {x0}
-        self._todo = [x0]
-        self._unexpanded = None  # the last listed state
+        self._todo = [x0]  # seen, not listed yet
+        # the last listed state, while its successors are not taken
+        self._unexpanded = None
 
     def scan(self, check, max_pairs):
         """What the search loop gives on bare states when no knowledge
-        can steer it: (outcome, pairs explored, failing state)."""
+        can steer it: (outcome, pairs explored, failing state).  The
+        states already listed are checked by check.first_miss."""
         states, obs = self.states, self.obs
         i = min(len(obs), max_pairs)
-        bad = next(compress(count(), map(not_, map(check, islice(obs, i)))),
-                   None)
+        bad = check.first_miss(obs, 0, i)
         if bad is not None:
             return FAILS, bad + 1, states[bad]
         if i < len(obs):
             return UNKNOWN, i + 1, None
+        if len(self.inputs) == 1:
+            return self._list_path(check, max_pairs, i)
         todo, seen = self._todo, self.seen
         successors, observe = self.successors, self.observe
         x = self._unexpanded
@@ -141,6 +166,40 @@ class _Walk:
                 i += 1
         finally:
             self._unexpanded = x
+
+    def _list_path(self, check, max_pairs, i):
+        """scan past the listed states of a one-input walk, from the
+        i-th on.  Its todo holds at most one state: x0 before it is
+        listed, or a stepped state whose observation raised."""
+        states, obs, seen, todo = self.states, self.obs, self.seen, self._todo
+        list_state, list_obs, mark_seen = states.append, obs.append, seen.add
+        step, observe = self.step, self.observe
+        (a,) = self.inputs
+        x = self._unexpanded
+        y = todo.pop() if todo else None
+        try:
+            while True:
+                if y is None:
+                    if x is None:
+                        return HOLDS, i, None
+                    y = step(x, a)
+                    if y in seen:  # the path closes: the walk is whole
+                        x = y = None
+                        return HOLDS, i, None
+                    mark_seen(y)
+                o = observe(y)
+                x, y = y, None
+                list_obs(o)
+                list_state(x)
+                if i == max_pairs:
+                    return UNKNOWN, i + 1, None
+                if not check(o):
+                    return FAILS, i + 1, x
+                i += 1
+        finally:
+            self._unexpanded = x
+            if y is not None:
+                todo.append(y)
 
 
 def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,

@@ -133,6 +133,12 @@ def test_check_state_flag_limited_to_dial_and_lock(capsys):
     ("--model", "swat", "G <.=3>"),
     ("--model", "swat", "G <{3}>"),
     ("--model", "swat", "G <!{3}>"),
+    # a box names inputs of the model
+    ("--model", "swat", "G [.=3] <(_,_,{true})>"),
+    ("--model", "dial", "[.=0] tt"),
+    ("--model", "lock", "--digits", "2", "[.!=2] tt"),
+    ("--model", "lock", "--digits", "2", "[{0,2}] tt"),
+    ("--model", "lock", "--digits", "2", "[!{1,7}] tt"),
 ])
 def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, "check", *argv)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cosafe.predicate import (BoolSpace, Complement, Empty, FiniteSet,
                               FiniteSpace, Intersection, Interval,
@@ -167,3 +167,65 @@ product_preds = st.one_of(
 @given(product_preds, st.tuples(*[st.integers(0, 7)] * 3))
 def test_member_fn_matches_member_on_products(p, o):
     assert member_fn(p)(o) == member(p, o)
+
+
+VALUES = FiniteSpace(frozenset(range(4)))
+PAIR_SPACE = ProductSpace((VALUES, VALUES))
+NESTED_SPACE = ProductSpace((VALUES, PAIR_SPACE, VALUES))
+
+
+def nested_preds(space, depth=2):
+    """Random predicates over space: every kind, Products nested in
+    Products, and Complements and Intersections of 2-3 parts up to the
+    given depth.  Values are few, so observations often meet a bound;
+    Hypothesis favours the first choices, so they constrain most."""
+    if isinstance(space, ProductSpace):
+        scalar = [k for k, c in enumerate(space.components)
+                  if not isinstance(c, ProductSpace)]
+        leaves = [st.builds(
+            lambda src, dst, k: LinearLink(space, src, dst, k),
+            st.sampled_from(scalar), st.sampled_from(scalar),
+            st.integers(0, 2))]
+        if depth:
+            leaves.insert(0, st.tuples(*[
+                nested_preds(c, depth - 1) for c in space.components]).map(
+                    lambda cs: Product(space, cs)))
+    else:
+        leaves = [st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+                      lambda t: Interval(space, min(t), max(t))),
+                  st.sets(st.integers(0, 3), max_size=4).map(
+                      lambda s: FiniteSet(space, frozenset(s)))]
+    leaves += [st.just(Universe(space)), st.just(Empty(space))]
+    if not depth:
+        return st.one_of(leaves)
+    inner = nested_preds(space, depth - 1)
+    return st.one_of(
+        *leaves,
+        inner.map(lambda p: Complement(space, p)),
+        st.sampled_from((2, 3)).flatmap(
+            lambda n: st.tuples(*[inner] * n)).map(
+                lambda parts: Intersection(space, parts)))
+
+
+def observations(space):
+    if isinstance(space, ProductSpace):
+        return st.tuples(*map(observations, space.components))
+    return st.integers(0, 3)
+
+
+cases = st.sampled_from((VALUES, PAIR_SPACE, NESTED_SPACE)).flatmap(
+    lambda space: st.tuples(nested_preds(space),
+                            st.lists(observations(space), max_size=12)))
+
+
+@settings(max_examples=300)
+@given(cases, st.integers(0, 14), st.integers(0, 14))
+def test_compiled_check_agrees_with_member(case, start, stop):
+    # stop may lie before start or past the end of obs
+    p, obs = case
+    check = member_fn(p)
+    assert [check(o) for o in obs] == [member(p, o) for o in obs]
+    misses = [i for i, o in enumerate(obs)
+              if start <= i < stop and not member(p, o)]
+    assert check.first_miss(obs, start, stop) == (misses[0] if misses
+                                                  else None)

@@ -1,7 +1,8 @@
 import pytest
 
 from cosafe.formula import ASSERT, REFUTE, TABLE
-from cosafe.models import dial_model, swat_model, swat_properties
+from cosafe.models import (dial_model, lock_model, swat_model,
+                           swat_properties)
 from cosafe.predicate import (Complement, FiniteSet, Interval, LinearLink,
                               Product, Universe)
 from cosafe.syntax import (FormulaSyntaxError, SyntaxContext, parse_formula,
@@ -109,6 +110,25 @@ def test_parse_errors(dial_ctx, swat_ctx):
         parse_formula("<link[0,1,2]>", dial_ctx)  # not a product space
     with pytest.raises(FormulaSyntaxError):
         parse_property("F <.=3>", swat_ctx)
+    # a box names inputs: the dial and the water model have one, '*'
+    for ctx, bad in ((dial_ctx, "[.=0] tt"), (dial_ctx, "[.!=0] tt"),
+                     (dial_ctx, "[{0}] tt"), (dial_ctx, "[!{0,1}] tt"),
+                     (dial_ctx, "G [.=3] <.!=1>"),
+                     (swat_ctx, "G [.=3] <(_,_,{true})>")):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(bad, ctx)
+
+
+def test_parse_box_over_inputs():
+    lock = lock_model(2)
+    ctx = SyntaxContext(lock.observation_space, lock.input_pred)
+    inputs = lock.input_pred.space
+    for text, allowed in (("[.=1] tt", FiniteSet(inputs, frozenset((1,)))),
+                          ("[!{0}] tt", Complement(inputs, FiniteSet(
+                              inputs, frozenset((0,))))),
+                          ("[{0,1}] tt", FiniteSet(inputs,
+                                                   frozenset((0, 1))))):
+        assert TABLE.node(parse_formula(text, ctx))[1] == allowed
 
 
 def test_print_parse_roundtrip_dial(dial_ctx):

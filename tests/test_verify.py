@@ -10,10 +10,10 @@ from cosafe.models import (dial_model, dial_eventually, lock_model,
                            lock_operators, lock_properties, puzzle_model,
                            swat_model, swat_properties)
 from cosafe.predicate import (Complement, FiniteSet, FiniteSpace, Universe,
-                              member)
+                              member, member_fn)
 from cosafe.syntax import SyntaxContext, print_formula
 from cosafe.verify import (DEFAULT_MAX_PAIRS, FAILS, HOLDS, INFERRED_FAILS,
-                           INFERRED_HOLDS, UNKNOWN, Stats, Verdict,
+                           INFERRED_HOLDS, UNKNOWN, Stats, Verdict, _Walk,
                            _property_verdict, check_many, check_property,
                            order_properties, verify)
 
@@ -522,6 +522,85 @@ def test_walk_budget_edges(first, max_pairs, outcomes, stepped):
     for (prop, _), expect in zip(results, outcomes):
         searched, _ = verify(d, 0, prop.body, *fresh(), max_pairs=max_pairs)
         assert (searched.outcome, searched.stats.pairs_explored) == expect
+
+
+def flaky(base, fail_at, where, on_raise=None):
+    """base rebuilt from its step and observe_value, recording each state
+    it steps; the first time fail_at is stepped (where == "step") or
+    observed (where == "observe"), it calls on_raise and raises."""
+    stepped = []
+    armed = [True]
+
+    def trip(x, here):
+        if here == where and x == fail_at and armed[0]:
+            armed[0] = False
+            on_raise()
+            raise RuntimeError("flaky at %r" % (x,))
+
+    def step(x, i):
+        trip(x, "step")
+        stepped.append(x)
+        return base.step(x, i)
+
+    def observe_value(x):
+        trip(x, "observe")
+        return base.observe_value(x)
+
+    system = System(base.name, base.inputs, base.observe, step,
+                    observation_space=base.observation_space,
+                    observe_value=observe_value)
+    system.input_pred = base.input_pred
+    return system, stepped
+
+
+@pytest.mark.parametrize("where", ("step", "observe"))
+@pytest.mark.parametrize("model, first, fail, second", [
+    # positions in the walk: the one-input dial lists a path, lock(2)
+    # (two inputs) a depth-first order
+    ("dial", 3, 5, 8),
+    ("lock2", 20, 30, 60),
+])
+def test_walk_unchanged_when_the_system_raises(model, first, fail, second,
+                                               where):
+    base = dial_model() if model == "dial" else lock_model(2)
+    everything = _Walk(base, 0)
+    everything.scan(member_fn(Universe(base.observation_space)),
+                    DEFAULT_MAX_PAIRS)
+    order = everything.states
+    props = [Property("first", ASSERT, neq_body(base, order[first])),
+             Property("second", ASSERT, neq_body(base, order[second])),
+             Property("none", ASSERT, neq_body(base, -1))]
+    fresh_system, fresh_stepped = flaky(base, None, where)
+    expect, _, _ = check_many(fresh_system, 0, props, *fresh())
+
+    def state():
+        return list(walk.states), list(walk.obs), set(walk.seen)
+
+    before = []
+    system, stepped = flaky(base, order[fail], where,
+                            lambda: before.append(state()))
+    walk = _Walk(system, 0)
+    kb, cfg = fresh()
+    engine = ClosureEngine(cfg)
+    got = [verify(system, 0, props[0].body, kb, cfg, engine=engine,
+                  _walk=walk)[0]]
+    with pytest.raises(RuntimeError):
+        verify(system, 0, props[1].body, kb, cfg, engine=engine, _walk=walk)
+    # the run listed states up to the one that raised, and no further
+    assert len(walk.states) == fail + (where == "step")
+    assert before == [state()]
+    # retried, the runs give what a fresh check_many gives, and the walk
+    # steps the same states as there, none twice
+    for prop in props[1:]:
+        got.append(verify(system, 0, prop.body, kb, cfg, engine=engine,
+                          _walk=walk)[0])
+
+    def show(verdict):
+        return (verdict.outcome, verdict.counterexample,
+                verdict.stats.pairs_explored)
+
+    assert [show(v) for v in got] == [show(v) for _, v in expect]
+    assert stepped == fresh_stepped
 
 
 @st.composite
