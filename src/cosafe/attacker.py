@@ -25,7 +25,7 @@ INCOMPARABLE = "Incomparable"
 class Attack:
     """A named pair of optional transforms.
 
-    obs_transform: Predicate -> Predicate, composed after observe.
+    obs_transform: value -> value, composed after observe_value.
     state_transform: X -> X, applied to the successor of each step.
     """
 
@@ -53,15 +53,15 @@ def apply_attack(sys, attack):
     """The attacked system: same states and alphabet, transformed
     observation and/or transition maps.  Its successors are the base
     system's, each passed through the state transform."""
-    observe = sys.observe
+    observe_value = sys.observe_value
     step = sys.step
     successors = sys.successors
     if attack.obs_transform is not None:
-        base_observe = observe
+        base_value = observe_value
         transform = attack.obs_transform
 
-        def observe(x):
-            return transform(base_observe(x))
+        def observe_value(x):
+            return transform(base_value(x))
     if attack.state_transform is not None:
         base_step = step
         base_successors = successors
@@ -72,12 +72,9 @@ def apply_attack(sys, attack):
 
         def successors(x):
             return tuple(map(tau, base_successors(x)))
-    # the raw-observation fast path survives a state transform but not a
-    # rewritten observation map
-    ov = None if attack.obs_transform is not None else sys.observe_value
     return System("%s+%s" % (sys.name, attack.name), sys.inputs,
-                  observe, step, observation_space=sys.observation_space,
-                  successors=successors, observe_value=ov)
+                  observe_value, step, observation_space=sys.observation_space,
+                  successors=successors)
 
 
 class CapabilityReport:

@@ -382,7 +382,7 @@ def _common_flags(p):
 
 
 def _swat_flags(p):
-    p.add_argument("--g", type=int, default=5)
+    p.add_argument("--g", type=_number(int, 1), default=5)
     p.add_argument("--quantum", type=_quantum, default=0.01)
     p.add_argument("--bias", type=int, default=200)
     p.add_argument("--stealth-bias", type=int, default=500)

@@ -5,11 +5,11 @@ rules: the pair itself (id), images under algebraic operators (c_beta),
 left-composition with a state simulation (tu_le), and right-composition
 with formula implication (tu_imp).
 
-Two inference services are built on it:
+ClosureEngine answers two queries on it:
 
-* infer_satisfied: the pair is derivable from a confirmed-satisfying
-  pair, using operators that PRESERVE satisfaction.
-* infer_failed: either some pair derivable FROM the query (preserving
+* sat_hit: the pair is derivable from a confirmed-satisfying pair,
+  using operators that PRESERVE satisfaction.
+* fail_hit: either some pair derivable FROM the query (preserving
   operators, forward implication) is known failing -- the "literal"
   direction -- or the query is derivable from a known-failing pair using
   operators that REFLECT satisfaction and reversed implication -- the
@@ -233,22 +233,6 @@ def closure_members(pair, cfg, direction):
                     yield q
 
 
-def infer_satisfied(pair, kb, cfg):
-    """pair in ctu(R): derivable from a confirmed-satisfying pair via
-    satisfaction-preserving operators."""
-    engine = ClosureEngine(cfg)
-    engine.load(kb)
-    return engine.sat_hit(pair)
-
-
-def infer_failed(pair, kb, cfg):
-    """ctu({pair}) meets F (literal direction), or pair lies in the
-    reflected closure image of F (image direction), per failure_mode."""
-    engine = ClosureEngine(cfg)
-    engine.load(kb)
-    return engine.fail_hit(pair, raw_F=kb.F)
-
-
 class ClosureEngine:
     """Incremental index of the closure of R and F.
 
@@ -329,10 +313,10 @@ class ClosureEngine:
                 return True
         return False
 
-    def fail_hit_literal(self, pair, raw_F=None):
+    def fail_hit_literal(self, pair):
         """Literal direction: some pair derivable from the query via
         preserving-only operators is known failing."""
-        F = self.raw_F if raw_F is None else raw_F
+        F = self.raw_F
         if not F:
             return False
         if self._lit_cfg is None:
@@ -345,10 +329,10 @@ class ClosureEngine:
                 return True
         return False
 
-    def fail_hit(self, pair, raw_F=None):
+    def fail_hit(self, pair):
         mode = self.cfg.failure_mode
         if mode in (IMAGE, BOTH) and self.fail_hit_image(pair):
             return True
         if mode == IMAGE:
             return False
-        return self.fail_hit_literal(pair, raw_F)
+        return self.fail_hit_literal(pair)

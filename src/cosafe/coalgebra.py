@@ -1,11 +1,15 @@
-"""Systems as coalgebras: an observation map into predicates plus an
+"""Systems as coalgebras: an observation map into values plus an
 input-indexed transition map, with finite behaviour prefixes.
 
 A System is deliberately opaque to the verification engine: states only
-need to be hashable and equality-comparable, `observe` returns a
-Predicate over the observation space, and `step` is total on the input
-alphabet for every reachable state.
+need to be hashable and equality-comparable, `observe_value` returns the
+state's one observation, a value of the observation space, and `step` is
+total on the input alphabet for every reachable state.
 """
+
+from operator import attrgetter
+
+from .predicate import FiniteSet
 
 
 class UnknownInput(ValueError):
@@ -13,26 +17,30 @@ class UnknownInput(ValueError):
 
 
 class System:
-    """A system (X, observe, step) over a finite input alphabet.
+    """A system (X, observe_value, step) over a finite input alphabet.
 
-    `successors`, when available, returns all successor states of x in
-    input order with a single call; the verifier uses it as a fast path.
+    `observe_value(x)` is the observation of x, a value of
+    `observation_space`; `observe(x)` gives it as a predicate, the
+    singleton of that value.  `successors`, when available, returns all
+    successor states of x in input order with a single call; the
+    verifier uses it as a fast path.
     """
 
-    def __init__(self, name, inputs, observe, step, observation_space=None,
-                 successors=None, observe_value=None):
+    def __init__(self, name, inputs, observe_value, step,
+                 observation_space=None, successors=None):
         self.name = name
         self.inputs = tuple(inputs)
         self._input_set = set(self.inputs)
-        self.observe = observe
+        self.observe_value = observe_value
         self.step = step
         self.observation_space = observation_space
         if successors is not None:
             # shadow the method with the provided callable (hot path)
             self.successors = successors
-        # observe_value, when set, returns the single concrete observation
-        # of a state (observe must then be FiniteSet({observe_value(x)}))
-        self.observe_value = observe_value
+
+    def observe(self, x):
+        return FiniteSet(self.observation_space,
+                         frozenset((self.observe_value(x),)))
 
     def successors(self, x):
         step = self.step
@@ -94,7 +102,7 @@ def behaviour_prefix(sys, x, k):
 
 class _BehaviourState:
     """A state of a truncated-behaviour system.  `pid` is the id of its
-    depth-k behaviour prefix, `obs` its observation, and `rep` an
+    depth-k behaviour prefix, `value` its observation, and `rep` an
     underlying state with that behaviour, whose transitions it inherits.
     For k exceeding the system diameter, prefix equality coincides with
     full behavioural equality, so the transition structure is well
@@ -105,11 +113,11 @@ class _BehaviourState:
     depth-k prefixes are, and states of two different behaviour systems
     are never equal, even where their ids coincide."""
 
-    __slots__ = ("pid", "obs", "rep")
+    __slots__ = ("pid", "value", "rep")
 
-    def __init__(self, pid, obs, rep):
+    def __init__(self, pid, value, rep):
         self.pid = pid
-        self.obs = obs
+        self.value = value
         self.rep = rep
 
     def __repr__(self):
@@ -121,16 +129,17 @@ def behaviour_system(sys, k):
     states.  Use with k = diameter + 1 so that verdicts transfer.
 
     Prefixes are hash-consed to integer ids, memoized per (state, depth):
-    pref(x, d) is the id of (observe(x), ids of the children at d-1), so
-    shared sub-behaviours are represented once and no prefix is hashed
-    deeper than one level.  Equal prefixes get equal ids by induction on
-    the depth.  `behaviour_prefix` is the reference semantics."""
+    pref(x, d) is the id of (observe_value(x), ids of the children at
+    d-1), so shared sub-behaviours are represented once and no prefix is
+    hashed deeper than one level.  Equal prefixes get equal ids by
+    induction on the depth.  A behaviour state observes its base state's
+    value.  `behaviour_prefix` is the reference semantics."""
     memo = {}
     ids = {}
     by_x = {}
     by_id = {}
     inputs = sys.inputs
-    base_observe = sys.observe
+    base_value = sys.observe_value
     base_step = sys.step
 
     def pref(x, d):
@@ -139,7 +148,7 @@ def behaviour_system(sys, k):
         if pid is None:
             children = () if d == 0 else tuple(
                 pref(base_step(x, i), d - 1) for i in inputs)
-            pid = ids.setdefault((base_observe(x), children), len(ids))
+            pid = ids.setdefault((base_value(x), children), len(ids))
             memo[key] = pid
         return pid
 
@@ -148,16 +157,14 @@ def behaviour_system(sys, k):
         if st is None:
             pid = pref(x, k)
             st = by_x[x] = by_id.setdefault(
-                pid, _BehaviourState(pid, base_observe(x), x))
+                pid, _BehaviourState(pid, base_value(x), x))
         return st
-
-    def observe(st):
-        return st.obs
 
     def step(st, i):
         return wrap(base_step(st.rep, i))
 
     wrapped = System("behaviour(%s,k=%d)" % (sys.name, k), sys.inputs,
-                     observe, step, observation_space=sys.observation_space)
+                     attrgetter("value"), step,
+                     observation_space=sys.observation_space)
     wrapped.wrap = wrap
     return wrapped

@@ -44,14 +44,10 @@ def dial_model():
     """Ten states 0..9, one input, +1 mod 10, observation = the value."""
     space = _value_space(10)
 
-    def observe(x):
-        return FiniteSet(space, frozenset((x,)))
-
     def step(x, i):
         return (x + 1) % 10
 
-    sys = System("dial", ("*",), observe, step, observation_space=space,
-                 observe_value=lambda x: x)
+    sys = System("dial", ("*",), lambda x: x, step, observation_space=space)
     sys.input_pred = Universe(FiniteSpace(frozenset(sys.inputs)))
     return sys
 
@@ -83,15 +79,11 @@ def lock_model(digits=4):
             row.append(x + (((d + 1) % 10) - d) * place[i])
         succ.append(tuple(row))
 
-    def observe(x):
-        return FiniteSet(space, frozenset((x,)))
-
     def step(x, i):
         return succ[x][i]
 
-    sys = System("lock%d" % digits, inputs, observe, step,
-                 observation_space=space, successors=succ.__getitem__,
-                 observe_value=lambda x: x)
+    sys = System("lock%d" % digits, inputs, lambda x: x, step,
+                 observation_space=space, successors=succ.__getitem__)
     sys.input_pred = Universe(FiniteSpace(frozenset(inputs)))
     sys.digits = digits
     return sys
@@ -174,11 +166,8 @@ def puzzle_model(max_c):
         nc = p2[1] if p2[0] == S else c
         return (p1, np, nc)
 
-    def observe(x):
-        return FiniteSet(space, frozenset((x[2],)))
-
-    sys = System("puzzle(MAX=%d)" % max_c, (1, 2), observe, step,
-                 observation_space=space, observe_value=lambda x: x[2])
+    sys = System("puzzle(MAX=%d)" % max_c, (1, 2), lambda x: x[2], step,
+                 observation_space=space)
     sys.input_pred = Universe(FiniteSpace(frozenset((1, 2))))
     sys.initial = ((Q, 0), (Q, 0), 1)
     sys.max_c = max_c
@@ -250,9 +239,9 @@ def swat_model(params=None):
                           BoolSpace()))
     g = p.g
 
-    def observe(x):
+    def observe_value(x):
         t, lit, hg, valve = x
-        return FiniteSet(space, frozenset(((t, g * t, hg == g * lit),)))
+        return (t, g * t, hg == g * lit)
 
     def step(x, i):
         t, lit, hg, valve = x
@@ -277,12 +266,8 @@ def swat_model(params=None):
     def successors(x):
         return (step(x, "*"),)
 
-    def observe_value(x):
-        t, lit, hg, valve = x
-        return (t, g * t, hg == g * lit)
-
-    sys = System("swat", ("*",), observe, step, observation_space=space,
-                 successors=successors, observe_value=observe_value)
+    sys = System("swat", ("*",), observe_value, step, observation_space=space,
+                 successors=successors)
     sys.input_pred = Universe(FiniteSpace(frozenset(sys.inputs)))
     sys.params = p
     sys.initial = (500 * p.scale, 500 * p.scale, g * 500 * p.scale, True)
@@ -375,12 +360,9 @@ def attack_kinds(sys):
 
         return {"surge": surge, "bias": bias, "stealthy": stealthy}
     if sys.name == "dial":
-        space = sys.observation_space
-
         def force_obs(params):
             v = int(params.get("value", 0))
-            forced = FiniteSet(space, frozenset((v,)))
-            return Attack("force_obs[%d]" % v, obs_transform=lambda p: forced)
+            return Attack("force_obs[%d]" % v, obs_transform=lambda _: v)
 
         def force_state(params):
             v = int(params.get("value", 0))

@@ -5,8 +5,9 @@ build a simulation up-to-precongruence, in one depth-first search over
 nodes.  A node is a bare state when the formula is its own obligation
 after every input (as G <Q> is), and a (state, formula) pair
 otherwise.  A popped node that knowledge shows failing refutes the query;
-one that knowledge shows satisfied is skipped; one whose observation the
-formula does not allow is a direct counterexample; otherwise it joins
+one that knowledge shows satisfied is skipped; one whose observation (a
+value, sys.observe_value) lies outside the formula's observation
+predicate is a direct counterexample; otherwise it joins
 the tentative satisfying relation and its successors are pushed (a
 successor suspected of failing is pushed last, so the counterexample
 path is followed first).
@@ -30,24 +31,24 @@ pushes every unseen successor in input order, so it would pop exactly
 the walk's states; the scan therefore gives the loop's verdict and
 counters (Fails at the first bad observation with its position as pairs
 explored, Holds after the whole walk, Unknown past the budget) and
-commits the same pairs.  A scanned
-Holds commits them as one fact, the formula holds at every state
-reachable from x0: the knowledge base merges the walk's state set into
-the formula's (KnowledgeBase.commit_all), and the closure engine keeps
-the set whole (ClosureEngine.note_satisfied_everywhere).  A scan checks
-the states already listed in one loop: with value observations, the
-first_miss loop that predicate.member_fn compiles from the formula's
-observation predicate, so no state costs a Python call.  Direct calls of
-verify always search.
+commits the same pairs.  A scanned Holds commits them as one fact, the
+formula holds at every state reachable from x0: the knowledge base
+merges the walk's state set into the formula's
+(KnowledgeBase.commit_all), and the closure engine keeps the set whole
+(ClosureEngine.note_satisfied_everywhere).
+
+Every observation check, in a search or a scan, is the function that
+predicate.member_fn compiles from the formula's observation predicate,
+applied to the state's value.  A scan checks the states already listed
+with that function's first_miss loop, so no state costs a Python call.
+Direct calls of verify always search.
 """
 
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
-from operator import not_
 
 from .closure import BOTH, IMAGE, LITERAL, ClosureEngine
 from .formula import ASSERT
-from .predicate import FiniteSet, member, member_fn, subset
+from .predicate import member_fn
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -82,25 +83,6 @@ class Verdict:
         return self.outcome in (INFERRED_HOLDS, INFERRED_FAILS)
 
 
-def _observe_member_fn(obs_pred):
-    """The observation check of a system whose states observe a
-    predicate (no observe_value): the state's observation, a FiniteSet
-    or any predicate, must lie inside obs_pred.  Like a member_fn, it
-    carries first_miss(obs, start, stop), here one pass of the check
-    over obs[start:stop]."""
-    def check(state_obs):
-        if isinstance(state_obs, FiniteSet):
-            return all(member(obs_pred, v) for v in state_obs.values)
-        return subset(state_obs, obs_pred)
-
-    def first_miss(obs, start, stop):
-        return next(compress(count(start), map(
-            not_, map(check, islice(obs, start, stop)))), None)
-
-    check.first_miss = first_miss
-    return check
-
-
 class _Walk:
     """The states reachable from x0 in the search loop's pop order, each
     with its observation, listed only as far as some run has asked.
@@ -117,8 +99,7 @@ class _Walk:
     twice."""
 
     def __init__(self, sys, x0):
-        self.observe = (sys.observe if sys.observe_value is None
-                        else sys.observe_value)
+        self.observe = sys.observe_value
         self.successors = sys.successors
         self.step = sys.step
         self.inputs = sys.inputs
@@ -221,12 +202,8 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     reach = table.reachable(psi0, sys.inputs)
     implicants = {f: cfg.implicants_of(f) for f in reach}
     # each formula's observation check, compiled once
+    checks = {f: member_fn(table.obs(f)) for f in reach}
     observe = sys.observe_value
-    if observe is not None:
-        checks = {f: member_fn(table.obs(f)) for f in reach}
-    else:
-        observe = sys.observe
-        checks = {f: _observe_member_fn(table.obs(f)) for f in reach}
     successors = sys.successors
 
     if reach == {psi0}:

@@ -26,12 +26,11 @@ def test_attack_transforms_compose_after_step():
     assert a.observe_value is d.observe_value
 
 
-def test_obs_attack_disables_raw_observation_path():
+def test_obs_attack_forces_the_observed_value():
     d = dial_model()
-    forced = FiniteSet(d.observation_space, frozenset((0,)))
-    a = apply_attack(d, Attack("blind", obs_transform=lambda p: forced))
-    assert a.observe_value is None
-    assert a.observe(7) == forced
+    a = apply_attack(d, Attack("blind", obs_transform=lambda v: 0))
+    assert a.observe_value(7) == 0
+    assert a.observe(7) == FiniteSet(d.observation_space, frozenset((0,)))
     assert a.step(7, "*") == 8  # transitions untouched
 
 

@@ -139,6 +139,10 @@ def test_check_state_flag_limited_to_dial_and_lock(capsys):
     ("--model", "lock", "--digits", "2", "[.!=2] tt"),
     ("--model", "lock", "--digits", "2", "[{0,2}] tt"),
     ("--model", "lock", "--digits", "2", "[!{1,7}] tt"),
+    # pressure is g times the level, so g is a positive integer
+    ("--model", "swat", "--g", "0", "G <(_,_,{true})>"),
+    ("--model", "swat", "--g", "-2", "G <(_,_,{true})>"),
+    ("--model", "swat", "--g", "2.5", "G <(_,_,{true})>"),
 ])
 def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, "check", *argv)

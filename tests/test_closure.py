@@ -1,8 +1,8 @@
 import pytest
 
 from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
-                            AlgebraicOperator, ClosureConfig, KnowledgeBase,
-                            closure_members, infer_failed, infer_satisfied)
+                            AlgebraicOperator, ClosureConfig, ClosureEngine,
+                            KnowledgeBase, closure_members)
 from cosafe.formula import TABLE
 from cosafe.models import (dial_model, lock_decode, lock_encode, lock_model,
                            lock_operators, lock_properties, puzzle_model,
@@ -15,6 +15,14 @@ def neq_formula(sys, v):
     return TABLE.mk_always(
         TABLE.mk_obs(Complement(space, FiniteSet(space, frozenset((v,))))),
         sys.input_pred)
+
+
+def loaded(kb, cfg):
+    """A ClosureEngine that has loaded kb, as check_many builds one; its
+    sat_hit and fail_hit are the closure's inference queries."""
+    engine = ClosureEngine(cfg)
+    engine.load(kb)
+    return engine
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +141,9 @@ def test_infer_satisfied_through_operator_image(lock, lock_ops):
     kb = KnowledgeBase(R=[(5678, f)])
     cfg = ClosureConfig(operators=[lock_ops["shift"]], depth=1)
     shift = lock_ops["shift"]
-    assert infer_satisfied(shift.apply((5678, f)), kb, cfg)
-    assert infer_satisfied((5678, f), kb, cfg)  # id rule
-    assert not infer_satisfied((1111, f), kb, cfg)
+    assert loaded(kb, cfg).sat_hit(shift.apply((5678, f)))
+    assert loaded(kb, cfg).sat_hit((5678, f))  # id rule
+    assert not loaded(kb, cfg).sat_hit((1111, f))
 
 
 def test_closure_depth_bounds_derivations(lock, lock_ops):
@@ -143,10 +151,10 @@ def test_closure_depth_bounds_derivations(lock, lock_ops):
     shift = lock_ops["shift"]
     kb = KnowledgeBase(R=[(5678, f)])
     twice = shift.apply(shift.apply((5678, f)))
-    assert not infer_satisfied(
-        twice, kb, ClosureConfig(operators=[shift], depth=1))
-    assert infer_satisfied(
-        twice, kb, ClosureConfig(operators=[shift], depth=2))
+    assert not loaded(kb, ClosureConfig(operators=[shift], depth=1)).sat_hit(
+        twice)
+    assert loaded(kb, ClosureConfig(operators=[shift], depth=2)).sat_hit(
+        twice)
 
 
 def test_depth_zero_is_identity_only(lock, lock_ops):
@@ -154,8 +162,8 @@ def test_depth_zero_is_identity_only(lock, lock_ops):
     shift = lock_ops["shift"]
     kb = KnowledgeBase(R=[(5678, f)])
     cfg = ClosureConfig(operators=[shift], depth=0)
-    assert infer_satisfied((5678, f), kb, cfg)
-    assert not infer_satisfied(shift.apply((5678, f)), kb, cfg)
+    assert loaded(kb, cfg).sat_hit((5678, f))
+    assert not loaded(kb, cfg).sat_hit(shift.apply((5678, f)))
 
 
 def test_infer_failed_image_direction(lock, lock_ops):
@@ -163,8 +171,8 @@ def test_infer_failed_image_direction(lock, lock_ops):
     shift = lock_ops["shift"]
     kb = KnowledgeBase(F=[(1234, f)])
     cfg = ClosureConfig(operators=[shift], depth=1, failure_mode=IMAGE)
-    assert infer_failed(shift.apply((1234, f)), kb, cfg)
-    assert not infer_failed(shift.apply((5678, f)), kb, cfg)
+    assert loaded(kb, cfg).fail_hit(shift.apply((1234, f)))
+    assert not loaded(kb, cfg).fail_hit(shift.apply((5678, f)))
 
 
 def test_infer_failed_literal_direction():
@@ -178,9 +186,9 @@ def test_infer_failed_literal_direction():
     lit = ClosureConfig(operators=[inc], depth=1, failure_mode=LITERAL)
     img = ClosureConfig(operators=[inc], depth=1, failure_mode=IMAGE)
     both = ClosureConfig(operators=[inc], depth=1, failure_mode=BOTH)
-    assert infer_failed((2, f), kb, lit)
-    assert not infer_failed((2, f), kb, img)
-    assert infer_failed((2, f), kb, both)
+    assert loaded(kb, lit).fail_hit((2, f))
+    assert not loaded(kb, img).fail_hit((2, f))
+    assert loaded(kb, both).fail_hit((2, f))
 
 
 def test_infer_with_implication():
@@ -189,11 +197,11 @@ def test_infer_with_implication():
     g = TABLE.tt(d.observation_space)
     cfg = ClosureConfig(implication=[(f, g)])
     # satisfaction flows up the implication: f confirmed at 0 gives g
-    assert infer_satisfied((0, g), KnowledgeBase(R=[(0, f)]), cfg)
-    assert not infer_satisfied((0, f), KnowledgeBase(R=[(0, g)]), cfg)
+    assert loaded(KnowledgeBase(R=[(0, f)]), cfg).sat_hit((0, g))
+    assert not loaded(KnowledgeBase(R=[(0, g)]), cfg).sat_hit((0, f))
     # failure flows down: g failing at 0 refutes f there
-    assert infer_failed((0, f), KnowledgeBase(F=[(0, g)]), cfg)
-    assert not infer_failed((0, g), KnowledgeBase(F=[(0, f)]), cfg)
+    assert loaded(KnowledgeBase(F=[(0, g)]), cfg).fail_hit((0, f))
+    assert not loaded(KnowledgeBase(F=[(0, f)]), cfg).fail_hit((0, g))
 
 
 def test_infer_satisfied_with_state_simulation():
@@ -201,8 +209,8 @@ def test_infer_satisfied_with_state_simulation():
     f = TABLE.tt(d.observation_space)
     cfg = ClosureConfig(state_sim={3: (7,)})
     kb = KnowledgeBase(R=[(7, f)])
-    assert infer_satisfied((3, f), kb, cfg)
-    assert not infer_satisfied((4, f), kb, cfg)
+    assert loaded(kb, cfg).sat_hit((3, f))
+    assert not loaded(kb, cfg).sat_hit((4, f))
 
 
 def test_closure_members_includes_id_and_images(lock, lock_ops):

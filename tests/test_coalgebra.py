@@ -3,7 +3,7 @@ import pytest
 from cosafe.coalgebra import (System, UnknownInput, behaviour_prefix,
                               behaviour_system, iterate)
 from cosafe.models import dial_model, lock_model
-from cosafe.predicate import FiniteSet, FiniteSpace, member
+from cosafe.predicate import FiniteSpace
 
 
 def test_iterate_is_step_fold():
@@ -66,13 +66,10 @@ def test_behaviour_system_identifies_equivalent_states():
     space = FiniteSpace(frozenset((0, 1)))
 
     # two states with identical behaviour but different identity
-    def observe(x):
-        return FiniteSet(space, frozenset((x % 2,)))
-
     def step(x, i):
         return {0: 1, 1: 0, 2: 3, 3: 2}[x]
 
-    s = System("twin", ("*",), observe, step, observation_space=space)
+    s = System("twin", ("*",), lambda x: x % 2, step, observation_space=space)
     b = behaviour_system(s, 5)
     assert b.wrap(0) == b.wrap(2)
     assert hash(b.wrap(0)) == hash(b.wrap(2))
@@ -87,13 +84,11 @@ def test_behaviour_states_equal_exactly_when_prefixes_are():
     # behave alike at every depth
     space = FiniteSpace(frozenset((False, True)))
 
-    def observe(x):
-        return FiniteSet(space, frozenset((x % 6 == 0,)))
-
     def step(x, i):
         return (x + i) % 12
 
-    s = System("ring", (1, 3), observe, step, observation_space=space)
+    s = System("ring", (1, 3), lambda x: x % 6 == 0, step,
+               observation_space=space)
     for k in range(5):
         b = behaviour_system(s, k)
         prefixes = [behaviour_prefix(s, x, k) for x in range(12)]

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
                             AlgebraicOperator, ClosureConfig, ClosureEngine,
                             KnowledgeBase)
-from cosafe.coalgebra import System
+from cosafe.coalgebra import System, behaviour_system
 from cosafe.formula import ASSERT, REFUTE, TABLE, Property, formula_similarity
 from cosafe.models import (dial_model, dial_eventually, lock_model,
                            lock_operators, lock_properties, puzzle_model,
@@ -175,21 +175,6 @@ def test_fast_path_agrees_with_general_loop():
     assert v1.outcome == v2.outcome == FAILS
     assert v1.counterexample == v2.counterexample
     assert v1.stats.pairs_explored == v2.stats.pairs_explored
-
-
-def test_fast_path_without_observe_value():
-    d = dial_model()
-    plain = System("dial-noval", d.inputs, d.observe, d.step,
-                   observation_space=d.observation_space)
-    plain.input_pred = d.input_pred
-    for target in (0, 6):
-        body = neq_body(d, target)
-        ka, ca = fresh()
-        kbb, cb = fresh()
-        va, _ = verify(d, 1, body, ka, ca)
-        vb, _ = verify(plain, 1, body, kbb, cb)
-        assert va.outcome == vb.outcome
-        assert va.stats.pairs_explored == vb.stats.pairs_explored
 
 
 def dial_turn(k, direction):
@@ -546,9 +531,8 @@ def flaky(base, fail_at, where, on_raise=None):
         trip(x, "observe")
         return base.observe_value(x)
 
-    system = System(base.name, base.inputs, base.observe, step,
-                    observation_space=base.observation_space,
-                    observe_value=observe_value)
+    system = System(base.name, base.inputs, observe_value, step,
+                    observation_space=base.observation_space)
     system.input_pred = base.input_pred
     return system, stepped
 
@@ -605,25 +589,23 @@ def test_walk_unchanged_when_the_system_raises(model, first, fail, second,
 
 @st.composite
 def systems_and_properties(draw):
-    """A random deterministic system (at most 30 states and 3 inputs,
-    observations in 0..3), two start states, properties, each asserted
-    or refuted, and an optional random state simulation.  A property is
-    G <Q>, or after the first <Q> & [A] G <Q'> or G <Q> & [A] G <Q'>
-    for a set A of inputs, whose nodes are (state, formula) pairs.  Each
-    G <Q> is drawn from the same few, one of which holds at every state,
-    so that runs on pairs meet what earlier G runs committed."""
+    """A random deterministic system (states 0..n-1 for n at most 30,
+    stored as its `size`, at most 3 inputs, observations in 0..3), two
+    start states, properties, each asserted or refuted, and an optional
+    random state simulation.  A property is G <Q>, or after the first
+    <Q> & [A] G <Q'> or G <Q> & [A] G <Q'> for a set A of inputs, whose
+    nodes are (state, formula) pairs.  Each G <Q> is drawn from the same
+    few, one of which holds at every state, so that runs on pairs meet
+    what earlier G runs committed."""
     n = draw(st.integers(1, 30))
     inputs = tuple(range(draw(st.integers(1, 3))))
     table = [tuple(draw(st.integers(0, n - 1)) for _ in inputs)
              for _ in range(n)]
     value = [draw(st.integers(0, 3)) for _ in range(n)]
     space = FiniteSpace(frozenset(range(4)))
-    raw = draw(st.booleans())
-    system = System(
-        "random", inputs,
-        lambda x: FiniteSet(space, frozenset((value[x],))),
-        lambda x, i: table[x][i], observation_space=space,
-        observe_value=value.__getitem__ if raw else None)
+    system = System("random", inputs, value.__getitem__,
+                    lambda x, i: table[x][i], observation_space=space)
+    system.size = n
     input_space = FiniteSpace(frozenset(inputs))
     system.input_pred = Universe(input_space)
 
@@ -704,3 +686,60 @@ def test_check_many_walk_agrees_with_search(case, mode, implied, max_pairs):
                                                   kb_search, cfg, max_pairs)
         assert show(walked) == show(searched)
     assert (kb_walk.R, kb_walk.F) == (kb_search.R, kb_search.F)
+
+
+def prefix_classes(system, k):
+    """Each state's class of depth-k behaviour prefixes, by k rounds of
+    naive refinement over all states: a state's depth-d class is its
+    value with its successors' depth-(d-1) classes."""
+    states = range(system.size)
+    ids = [system.observe_value(x) for x in states]
+    for _ in range(k):
+        index = {}
+        ids = [index.setdefault((system.observe_value(x), tuple(
+            ids[system.step(x, i)] for i in system.inputs)), len(index))
+            for x in states]
+    return ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_and_properties(), st.sampled_from((IMAGE, BOTH, LITERAL)),
+       st.booleans())
+def test_behaviour_system_keeps_check_many_outcomes(case, mode, implied):
+    # with k = n, at least the diameter plus 1, depth-k prefixes are
+    # full behaviours, so the behaviour system is the quotient by
+    # bisimilarity, and every property holds or fails as on the base
+    # system.  Whether it is inferred may differ: knowledge about one
+    # state covers its whole class in the quotient.
+    system, starts, props, _ = case
+    n = system.size
+    behaviour = behaviour_system(system, n)
+    classes = prefix_classes(system, n)
+    for x in range(n):
+        for y in range(n):
+            assert (behaviour.wrap(x) == behaviour.wrap(y)) == \
+                (classes[x] == classes[y]), (x, y)
+    implication = (formula_similarity([p.body for p in props], system.inputs)
+                   if implied else None)
+    cfg = ClosureConfig(implication=implication, failure_mode=mode)
+    for x0 in starts:
+        base, _, _ = check_many(system, x0, props, KnowledgeBase(), cfg)
+        quotient, _, _ = check_many(behaviour, behaviour.wrap(x0), props,
+                                    KnowledgeBase(), cfg)
+        assert [(v.holds(), v.fails()) for _, v in quotient] == \
+            [(v.holds(), v.fails()) for _, v in base]
+
+
+def test_behaviour_system_of_a_ring_at_depth_n_fails_like_the_ring():
+    # ten states in a ring, showing 1 only at state 9: G <{0}> fails from
+    # 0, and the behaviour system at depth 10 tells all ten states apart
+    space = FiniteSpace(frozenset((0, 1)))
+    ring = System("ring", ("*",), lambda x: int(x == 9),
+                  lambda x, i: (x + 1) % 10, observation_space=space)
+    ring.input_pred = Universe(FiniteSpace(frozenset(ring.inputs)))
+    body = TABLE.mk_always(TABLE.mk_obs(FiniteSet(space, frozenset((0,)))),
+                           ring.input_pred)
+    behaviour = behaviour_system(ring, 10)
+    for system, x0 in ((ring, 0), (behaviour, behaviour.wrap(0))):
+        v, _ = verify(system, x0, body, *fresh())
+        assert (v.outcome, v.stats.pairs_explored) == (FAILS, 10)
