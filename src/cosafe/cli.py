@@ -99,9 +99,11 @@ def _parse_rows(spec):
     for part in spec.split(","):
         try:
             n, mx = part.split(":")
-            rows.append((int(n), int(mx)))
+            rows.append((int(n), _puzzle_max(mx)))
         except ValueError:
             raise ConfigError("bad puzzle row %r; expected N:MAX" % part)
+        except argparse.ArgumentTypeError as e:
+            raise ConfigError("bad puzzle row %r; MAX %s" % (part, e))
     return tuple(rows)
 
 
@@ -359,6 +361,9 @@ def _number(kind, lo, hi=None, strict=False):
 
 
 _digits = _number(int, 1, MAX_DIGITS)
+# the accumulator starts at 1 and no process reads once it reaches the
+# maximum, so a maximum below 2 gives a one-state model
+_puzzle_max = _number(int, 2)
 
 
 def _quantum(text):
@@ -415,7 +420,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--state", default=None)
     p.add_argument("--digits", type=_digits, default=4)
-    p.add_argument("--puzzle-max", type=int, default=20)
+    p.add_argument("--puzzle-max", type=_puzzle_max, default=20)
     p.add_argument("--operators", type=lambda s: s.split(","), default=None)
     _swat_flags(p)
     p.add_argument("property")

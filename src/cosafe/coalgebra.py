@@ -1,5 +1,6 @@
 """Systems as coalgebras: an observation map into values plus an
-input-indexed transition map, with finite behaviour prefixes.
+input-indexed transition map, with finite behaviour prefixes and the
+quotient by them, built by bounded partition refinement.
 
 A System is deliberately opaque to the verification engine: states only
 need to be hashable and equality-comparable, `observe_value` returns the
@@ -101,17 +102,16 @@ def behaviour_prefix(sys, x, k):
 
 
 class _BehaviourState:
-    """A state of a truncated-behaviour system.  `pid` is the id of its
-    depth-k behaviour prefix, `value` its observation, and `rep` an
-    underlying state with that behaviour, whose transitions it inherits.
-    For k exceeding the system diameter, prefix equality coincides with
-    full behavioural equality, so the transition structure is well
-    defined on these equivalence classes.
+    """A state of a behaviour system: one block of its partition of the
+    listed base states.  `pid` is the block's id, `value` its
+    observation, and `rep` the first listed base state of the block,
+    whose transitions it inherits.
 
-    A behaviour system makes one state object per prefix id, so equality
-    is identity: two states of one system are equal exactly when their
-    depth-k prefixes are, and states of two different behaviour systems
-    are never equal, even where their ids coincide."""
+    A behaviour system makes one state object per block, so equality is
+    identity: two states of one system are equal exactly when their base
+    states have equal depth-k behaviour prefixes, and states of two
+    different behaviour systems are never equal, even where their ids
+    coincide."""
 
     __slots__ = ("pid", "value", "rep")
 
@@ -124,40 +124,107 @@ class _BehaviourState:
         return "BehaviourState(%r)" % (self.rep,)
 
 
-def behaviour_system(sys, k):
-    """The system whose states are depth-k behaviour prefixes of `sys`'s
-    states.  Use with k = diameter + 1 so that verdicts transfer.
-
-    Prefixes are hash-consed to integer ids, memoized per (state, depth):
-    pref(x, d) is the id of (observe_value(x), ids of the children at
-    d-1), so shared sub-behaviours are represented once and no prefix is
-    hashed deeper than one level.  Equal prefixes get equal ids by
-    induction on the depth.  A behaviour state observes its base state's
-    value.  `behaviour_prefix` is the reference semantics."""
-    memo = {}
+def _refine(values, succ, k):
+    """Bounded Moore refinement of states 0..n-1 with observations
+    `values` and successor positions `succ` (a successor-closed set).
+    The first partition is by observation; each round splits blocks by
+    (block, the successors' blocks), so after d rounds the blocks are
+    the depth-d prefix classes.  Returns the block id of each state
+    after at most k rounds, and whether that partition is stable: one
+    more round would split no block."""
     ids = {}
-    by_x = {}
-    by_id = {}
-    inputs = sys.inputs
+    block = [ids.setdefault(v, len(ids)) for v in values]
+    for depth in range(k + 1):
+        count = len(ids)
+        ids = {}
+        get = block.__getitem__
+        refined = [ids.setdefault((b, *map(get, row)), len(ids))
+                   for b, row in zip(block, succ)]
+        if len(ids) == count:
+            return block, True
+        if depth == k:
+            return block, False
+        block = refined
+
+
+def behaviour_system(sys, k):
+    """The quotient of `sys` by depth-k behaviour prefixes: its states
+    are the classes of base states whose prefixes up to depth k agree.
+
+    The first `wrap(x)` lists every base state reachable from x, so that
+    part of `sys` must be finite, and partitions the list by at most k
+    rounds of Moore refinement (`_refine`).  A later `wrap(y)` on a
+    state not listed yet lists what it reaches and refines the whole
+    list again; states wrapped before keep their objects and pids.  If
+    the base system raises while a `wrap` lists states, the behaviour
+    system is left as it was.
+
+    `exact` tells whether refinement reached its fixpoint within k
+    rounds on what is listed so far.  Then the quotient is the
+    bisimulation quotient of the listed part, and every verdict on it
+    holds of the base states too.  Each round short of the fixpoint
+    splits a block, so k of at least the number of listed states minus
+    1 always gives that; k of the diameter plus 1 need not.  Otherwise
+    two states in one class may still behave differently, and a verdict
+    need not transfer.  A behaviour state
+    observes its base state's value.  `behaviour_prefix` is the
+    reference semantics."""
+    if k < 0:
+        raise ValueError("depth must be >= 0")
     base_value = sys.observe_value
     base_step = sys.step
+    base_successors = sys.successors
+    index = {}    # listed base state -> its position in the list
+    values = []   # by position: the observation
+    succ = []     # by position: the successors' positions, in input order
+    states = []   # by pid: the behaviour state
+    by_x = {}     # listed base state -> its behaviour state
 
-    def pref(x, d):
-        key = (x, d)
-        pid = memo.get(key)
-        if pid is None:
-            children = () if d == 0 else tuple(
-                pref(base_step(x, i), d - 1) for i in inputs)
-            pid = ids.setdefault((base_value(x), children), len(ids))
-            memo[key] = pid
-        return pid
+    def extend(x):
+        # list and refine in locals, and commit only once nothing is left
+        # that can raise
+        start = len(values)
+        fresh = {x: start}
+        order = [x]
+        new_values = []
+        new_succ = []
+        for y in order:  # order grows as the loop finds new states
+            new_values.append(base_value(y))
+            row = []
+            for z in base_successors(y):
+                p = index.get(z)
+                if p is None:
+                    p = fresh.get(z)
+                    if p is None:
+                        p = fresh[z] = start + len(order)
+                        order.append(z)
+                row.append(p)
+            new_succ.append(row)
+        block, exact = _refine(values + new_values, succ + new_succ, k)
+        # each block that holds listed states is one earlier block,
+        # since depth-k classes do not depend on what else is listed
+        owner = {block[index[st.rep]]: st for st in states}
+        born = []
+        placed = {}
+        for p, y in enumerate(order, start):
+            st = owner.get(block[p])
+            if st is None:
+                st = owner[block[p]] = _BehaviourState(
+                    len(states) + len(born), new_values[p - start], y)
+                born.append(st)
+            placed[y] = st
+        index.update(fresh)
+        values.extend(new_values)
+        succ.extend(new_succ)
+        states.extend(born)
+        by_x.update(placed)
+        wrapped.exact = exact
 
     def wrap(x):
         st = by_x.get(x)
         if st is None:
-            pid = pref(x, k)
-            st = by_x[x] = by_id.setdefault(
-                pid, _BehaviourState(pid, base_value(x), x))
+            extend(x)
+            st = by_x[x]
         return st
 
     def step(st, i):
@@ -167,4 +234,5 @@ def behaviour_system(sys, k):
                      attrgetter("value"), step,
                      observation_space=sys.observation_space)
     wrapped.wrap = wrap
+    wrapped.exact = True
     return wrapped

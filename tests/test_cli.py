@@ -70,6 +70,16 @@ def test_puzzle_experiment_bad_row_spec(capsys):
     assert "N:MAX" in err
 
 
+@pytest.mark.parametrize("rows", ["17:0", "17:1", "17:20,17:-3"])
+def test_puzzle_experiment_max_below_2_exits_2_with_one_line(capsys, rows):
+    # with a maximum below 2 the puzzle model has one state, so the row
+    # would report a verdict about nothing
+    code, out, err = run(capsys, "puzzle-experiment", "--rows", rows)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad puzzle row") and err.count("\n") == 1
+    assert "out of range" in err
+
+
 def test_check_dial_json(capsys):
     code, out, _ = run(capsys, "check", "--model", "dial", "F <.=7>")
     assert code == 0
@@ -143,6 +153,10 @@ def test_check_state_flag_limited_to_dial_and_lock(capsys):
     ("--model", "swat", "--g", "0", "G <(_,_,{true})>"),
     ("--model", "swat", "--g", "-2", "G <(_,_,{true})>"),
     ("--model", "swat", "--g", "2.5", "G <(_,_,{true})>"),
+    # the accumulator starts at 1, so a maximum below 2 gives one state
+    ("--model", "puzzle", "--puzzle-max", "0", "G <.!=5>"),
+    ("--model", "puzzle", "--puzzle-max", "1", "G <.!=5>"),
+    ("--model", "puzzle", "--puzzle-max", "-3", "G <.!=5>"),
 ])
 def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, "check", *argv)

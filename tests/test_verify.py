@@ -706,11 +706,12 @@ def prefix_classes(system, k):
 @given(systems_and_properties(), st.sampled_from((IMAGE, BOTH, LITERAL)),
        st.booleans())
 def test_behaviour_system_keeps_check_many_outcomes(case, mode, implied):
-    # with k = n, at least the diameter plus 1, depth-k prefixes are
-    # full behaviours, so the behaviour system is the quotient by
-    # bisimilarity, and every property holds or fails as on the base
-    # system.  Whether it is inferred may differ: knowledge about one
-    # state covers its whole class in the quotient.
+    # with k = n, more rounds than refinement can split blocks of n
+    # states, depth-k prefixes are full behaviours, so the behaviour
+    # system is the quotient by bisimilarity, and every property holds
+    # or fails as on the base system.  Whether it is inferred may
+    # differ: knowledge about one state covers its whole class in the
+    # quotient.
     system, starts, props, _ = case
     n = system.size
     behaviour = behaviour_system(system, n)
@@ -719,6 +720,7 @@ def test_behaviour_system_keeps_check_many_outcomes(case, mode, implied):
         for y in range(n):
             assert (behaviour.wrap(x) == behaviour.wrap(y)) == \
                 (classes[x] == classes[y]), (x, y)
+    assert behaviour.exact
     implication = (formula_similarity([p.body for p in props], system.inputs)
                    if implied else None)
     cfg = ClosureConfig(implication=implication, failure_mode=mode)
@@ -730,16 +732,98 @@ def test_behaviour_system_keeps_check_many_outcomes(case, mode, implied):
             [(v.holds(), v.fails()) for _, v in base]
 
 
-def test_behaviour_system_of_a_ring_at_depth_n_fails_like_the_ring():
-    # ten states in a ring, showing 1 only at state 9: G <{0}> fails from
-    # 0, and the behaviour system at depth 10 tells all ten states apart
+@settings(max_examples=300, deadline=None)
+@given(systems_and_properties(), st.data())
+def test_behaviour_system_refines_to_prefix_classes_in_any_wrap_order(case,
+                                                                      data):
+    # each wrap of a state not listed yet extends the list and refines
+    # again; the states wrapped before keep their objects
+    system = case[0]
+    n = system.size
+    k = data.draw(st.integers(0, n + 1), label="k")
+    order = data.draw(st.permutations(range(n)), label="order")
+    behaviour = behaviour_system(system, k)
+    wrapped = {}
+    for x in order:
+        state = behaviour.wrap(x)
+        for y, earlier in wrapped.items():
+            assert behaviour.wrap(y) is earlier, (x, y)
+        wrapped[x] = state
+    classes = prefix_classes(system, k)
+    for x in range(n):
+        for y in range(n):
+            assert (wrapped[x] is wrapped[y]) == \
+                (classes[x] == classes[y]), (x, y)
+    states = set(wrapped.values())
+    assert len({state.pid for state in states}) == len(states)
+    # every state is listed, so the partition is stable exactly when one
+    # more round of refinement splits no class
+    assert behaviour.exact == \
+        (len(set(classes)) == len(set(prefix_classes(system, k + 1))))
+
+
+def ring10():
+    """Ten states in a ring, showing 1 only at state 9."""
     space = FiniteSpace(frozenset((0, 1)))
     ring = System("ring", ("*",), lambda x: int(x == 9),
                   lambda x, i: (x + 1) % 10, observation_space=space)
     ring.input_pred = Universe(FiniteSpace(frozenset(ring.inputs)))
-    body = TABLE.mk_always(TABLE.mk_obs(FiniteSet(space, frozenset((0,)))),
-                           ring.input_pred)
+    return ring
+
+
+def test_behaviour_system_of_a_ring_at_depth_n_fails_like_the_ring():
+    # G <{0}> fails from 0, and the behaviour system at depth 10 tells
+    # all ten states apart
+    ring = ring10()
+    body = TABLE.mk_always(TABLE.mk_obs(FiniteSet(
+        ring.observation_space, frozenset((0,)))), ring.input_pred)
     behaviour = behaviour_system(ring, 10)
     for system, x0 in ((ring, 0), (behaviour, behaviour.wrap(0))):
         v, _ = verify(system, x0, body, *fresh())
         assert (v.outcome, v.stats.pairs_explored) == (FAILS, 10)
+
+
+def test_behaviour_system_tells_whether_its_quotient_is_exact():
+    # at depth 2 states 0-6 share one class, though they differ at
+    # depth 9, so a verdict on that quotient need not hold of the ring
+    for k, exact in ((2, False), (10, True)):
+        behaviour = behaviour_system(ring10(), k)
+        behaviour.wrap(0)
+        assert behaviour.exact is exact, k
+
+
+@pytest.mark.parametrize("where", ("step", "observe"))
+def test_behaviour_system_unchanged_when_the_system_raises(where):
+    # a 6-ring showing True every third state, and a 4-ring (states 6-9)
+    # showing True at 6 only: at depth 2 state 6 joins the class of 0,
+    # and 7 starts a new one, so the list of the 6-ring is exact and
+    # the list of both is not
+    succ = (1, 2, 3, 4, 5, 0, 7, 8, 9, 6)
+    base = System("two rings", ("*",), lambda x: x in (0, 3, 6),
+                  lambda x, i: succ[x],
+                  observation_space=FiniteSpace(frozenset((False, True))))
+    base.input_pred = Universe(FiniteSpace(frozenset(base.inputs)))
+    fresh_system, _ = flaky(base, None, where)
+    expect = behaviour_system(fresh_system, 2)
+    expect.wrap(0)
+    expect.wrap(6)
+
+    system, _ = flaky(base, 8, where, lambda: None)
+    behaviour = behaviour_system(system, 2)
+    first = {x: behaviour.wrap(x) for x in range(6)}
+    assert behaviour.exact
+
+    def state():
+        return ({x: (behaviour.wrap(x), behaviour.wrap(x).pid)
+                 for x in range(6)}, behaviour.exact)
+
+    before = state()
+    with pytest.raises(RuntimeError):
+        behaviour.wrap(6)
+    assert state() == before
+    # retried, the wrap lists what a fresh system lists, and gives the
+    # same classes and pids
+    assert behaviour.wrap(6) is first[0]
+    assert [behaviour.wrap(x).pid for x in range(10)] == \
+        [expect.wrap(x).pid for x in range(10)]
+    assert behaviour.exact is expect.exact is False
