@@ -160,15 +160,15 @@ def behaviour_system(sys, k):
     system is left as it was.
 
     `exact` tells whether refinement reached its fixpoint within k
-    rounds on what is listed so far.  Then the quotient is the
-    bisimulation quotient of the listed part, and every verdict on it
-    holds of the base states too.  Each round short of the fixpoint
-    splits a block, so k of at least the number of listed states minus
-    1 always gives that; k of the diameter plus 1 need not.  Otherwise
-    two states in one class may still behave differently, and a verdict
-    need not transfer.  A behaviour state
-    observes its base state's value.  `behaviour_prefix` is the
-    reference semantics."""
+    rounds on what is listed so far (vacuously True before the first
+    `wrap`).  Then the quotient is the bisimulation quotient of the
+    listed part, and every verdict on it holds of the base states too.
+    Each round short of the fixpoint splits a block, so k of at least
+    the number of listed states minus 1 always gives that; k of the
+    diameter plus 1 need not.  Otherwise two states in one class may
+    still behave differently, and a verdict need not transfer.  A
+    behaviour state observes its base state's value.
+    `behaviour_prefix` is the reference semantics."""
     if k < 0:
         raise ValueError("depth must be >= 0")
     base_value = sys.observe_value
