@@ -5,7 +5,7 @@ from .attacker import (Attack, Attacker, CapabilityReport, apply_attack,
                        capabilities, compare, hasse_dot, hierarchy)
 from .closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
                       REFLECTING, AlgebraicOperator, ClosureConfig,
-                      ClosureEngine, KnowledgeBase, closure_members)
+                      ClosureEngine, KnowledgeBase)
 from .coalgebra import System, behaviour_prefix, behaviour_system, iterate
 from .formula import (ASSERT, REFUTE, TABLE, FormulaTable, Property,
                       formula_similarity)

@@ -15,12 +15,12 @@ import sys as _sys
 import time
 
 from . import models
-from .attacker import (Attack, Attacker, capabilities, hasse_dot, hierarchy,
+from .attacker import (Attacker, capabilities, hasse_dot, hierarchy,
                        reports_json)
 from .closure import BOTH, IMAGE, LITERAL, ClosureConfig, KnowledgeBase
 from .formula import TABLE, formula_similarity
 from .syntax import FormulaSyntaxError, SyntaxContext, parse_property
-from .verify import DEFAULT_MAX_PAIRS, UNKNOWN, check_many, order_properties
+from .verify import DEFAULT_MAX_PAIRS, UNKNOWN, check_many
 
 LOCK_OPERATOR_SETS = (
     ("shift",),
@@ -137,14 +137,17 @@ def cmd_puzzle_experiment(args):
 # swat-experiment
 # ---------------------------------------------------------------------------
 
-def _swat_setup(args):
-    params = models.SwatParams(g=args.g, quantum=args.quantum)
-    sys_ = models.swat_model(params)
+def _swat_system(args):
+    return models.swat_model(models.SwatParams(g=args.g, quantum=args.quantum))
+
+
+def _swat_setup(sys_, args):
+    """The water model's properties Lvl, Hg, Con and their closure."""
     props = models.swat_properties(sys_)
     plist = [props["Lvl"], props["Hg"], props["Con"]]
     implication = formula_similarity([p.body for p in plist], sys_.inputs)
     cfg = ClosureConfig((), implication=implication, **_closure_kwargs(args))
-    return sys_, plist, cfg
+    return plist, cfg
 
 
 def swat_attackers(sys_, b_bias, b_stealth):
@@ -155,7 +158,8 @@ def swat_attackers(sys_, b_bias, b_stealth):
 
 
 def cmd_swat_experiment(args):
-    sys_, plist, cfg = _swat_setup(args)
+    sys_ = _swat_system(args)
+    plist, cfg = _swat_setup(sys_, args)
     attackers = swat_attackers(sys_, args.bias, args.stealth_bias)
 
     out = io.StringIO()
@@ -210,8 +214,7 @@ def _build_model(args):
         sys_ = models.puzzle_model(args.puzzle_max)
         ops = {"swap": models.puzzle_swap()}
     elif name == "swat":
-        sys_ = models.swat_model(models.SwatParams(g=args.g,
-                                                   quantum=args.quantum))
+        sys_ = _swat_system(args)
         ops = {}
     else:
         raise ConfigError("unknown model %r" % name)
@@ -312,7 +315,7 @@ def _load_attackers(path, sys_):
 def cmd_quantify(args):
     sys_, _ = _build_model(args)
     if args.model == "swat":
-        _, plist, cfg = _swat_setup(args)
+        plist, cfg = _swat_setup(sys_, args)
     else:
         raise ConfigError("quantify currently supports --model swat")
     attackers = _load_attackers(args.attackers, sys_)

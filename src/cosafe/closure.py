@@ -1,23 +1,22 @@
 """Algebraic operators and the precongruence closure.
 
-The closure of a relation on (state, formula) pairs is generated by four
+The closure of a relation on (state, formula) pairs is generated by three
 rules: the pair itself (id), images under algebraic operators (c_beta),
-left-composition with a state simulation (tu_le), and right-composition
-with formula implication (tu_imp).
+and right-composition with formula implication (tu_imp).
 
 ClosureEngine answers two queries on it:
 
 * sat_hit: the pair is derivable from a confirmed-satisfying pair,
   using operators that PRESERVE satisfaction.
-* fail_hit: either some pair derivable FROM the query (preserving
-  operators, forward implication) is known failing -- the "literal"
-  direction -- or the query is derivable from a known-failing pair using
-  operators that REFLECT satisfaction and reversed implication -- the
-  "image" direction.  Both are sound; `both` is the default mode.
+* fail_hit: either the query, or its image under a preserving operator,
+  implies a known-failing pair -- the "literal" direction -- or the
+  query is derivable from a known-failing pair using operators that
+  REFLECT satisfaction and reversed implication -- the "image"
+  direction.  Both are sound; `both` is the default mode.
 """
 
 from .formula import TABLE
-from .predicate import (Complement, FiniteSet, Universe, member)
+from .predicate import Complement, FiniteSet, Universe
 
 PRESERVING = "preserving"
 REFLECTING = "reflecting"
@@ -146,24 +145,23 @@ class KnowledgeBase:
 
 
 class ClosureConfig:
-    """Configuration of the precongruence closure.
+    """Configuration of the precongruence closure, whose rules are id,
+    operator image and implication.
 
     operators: the algebraic operator set.
     depth: max operator applications in one derivation (default 1; the
       composed operators such as shift^2 are listed separately).
-    state_sim: optional dict x -> states above x (default identity).
     implication: optional relation of (f, g) formula-id pairs, f implies
       g (default reflexive only).
     failure_mode: literal | image | both.
     """
 
-    def __init__(self, operators=(), depth=1, state_sim=None,
-                 implication=None, failure_mode=BOTH, table=TABLE):
+    def __init__(self, operators=(), depth=1, implication=None,
+                 failure_mode=BOTH, table=TABLE):
         if depth < 0:
             raise ValueError("depth must be >= 0")
         self.operators = tuple(operators)
         self.depth = depth
-        self.state_sim = state_sim
         self.implication = frozenset(implication or ())
         self.failure_mode = failure_mode
         self.table = table
@@ -185,52 +183,27 @@ class ClosureConfig:
         out |= self._implied.get(f, set())
         return out
 
-    def ops_with(self, direction_test):
-        return tuple(op for op in self.operators if direction_test(op))
-
 
 def _op_chains(pair, ops, depth):
-    """Pairs reachable by <= depth operator applications (excluding id)."""
+    """Pairs reachable by <= depth operator applications (excluding id).
+    An image an operator has no rule for (apply raises ValueError) is
+    skipped: the closure then derives less, which is sound."""
     seen = {pair}
     frontier = [pair]
     for _ in range(depth):
         nxt = []
         for p in frontier:
             for op in ops:
-                q = op.apply(p)
+                try:
+                    q = op.apply(p)
+                except ValueError:
+                    continue
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
     seen.discard(pair)
     return seen
-
-
-def closure_members(pair, cfg, direction):
-    """Lazily enumerate the pairs derivable from {pair} by the closure
-    rules, using operators whose declared direction includes `direction`.
-    Implication composes forward (f implies f'), the state simulation
-    composes downward (x' below x)."""
-    if direction == PRESERVING:
-        ops = cfg.ops_with(AlgebraicOperator.preserves)
-    elif direction == REFLECTING:
-        ops = cfg.ops_with(AlgebraicOperator.reflects)
-    else:
-        raise ValueError(direction)
-    base = {pair}
-    base |= _op_chains(pair, ops, cfg.depth)
-    emitted = set()
-    for (x, f) in base:
-        xs = [x]
-        if cfg.state_sim:
-            # tu_le: x' <= x lets x' inherit what x satisfies
-            xs.extend(cfg.state_sim.get(x, ()))
-        for g in cfg.implied_by(f):
-            for y in xs:
-                q = (y, g)
-                if q not in emitted:
-                    emitted.add(q)
-                    yield q
 
 
 class ClosureEngine:
@@ -241,7 +214,10 @@ class ClosureEngine:
     the state sets noted whole as satisfying it, and fail_index formula
     id -> states where it is known to fail (including images under
     reflecting operators).  Queries then only consult implication
-    variants.  sat_formulae is every formula id satisfied somewhere."""
+    variants.  sat_formulae is every formula id satisfied somewhere.
+    literal_ops are the preserving operators the literal failure check
+    applies to a query: all of them in literal mode, and otherwise those
+    the image direction does not already use."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -250,11 +226,11 @@ class ClosureEngine:
         self.sat_formulae = set()
         self.fail_index = {}
         self.raw_F = set()
-        self._sat_ops = cfg.ops_with(AlgebraicOperator.preserves)
-        self._fail_ops = cfg.ops_with(AlgebraicOperator.reflects)
-        self.literal_ops = tuple(op for op in cfg.operators
-                                 if op.preserves() and not op.reflects())
-        self._lit_cfg = None
+        self._sat_ops = tuple(op for op in cfg.operators if op.preserves())
+        self._fail_ops = tuple(op for op in cfg.operators if op.reflects())
+        self.literal_ops = tuple(
+            op for op in self._sat_ops
+            if cfg.failure_mode == LITERAL or not op.reflects())
 
     def load(self, kb):
         for f, xs in kb.sat.items():
@@ -292,15 +268,11 @@ class ClosureEngine:
     def sat_hit(self, pair):
         x, f = pair
         want = self.cfg.implicants_of(f)
-        xs = [x]
-        if self.cfg.state_sim:
-            xs.extend(self.cfg.state_sim.get(x, ()))
-        for y in xs:
-            have = self.sat_index.get(y)
-            if have and not want.isdisjoint(have):
-                return True
-        return any(y in states for g in want
-                   for states in self.sat_everywhere.get(g, ()) for y in xs)
+        have = self.sat_index.get(x)
+        if have and not want.isdisjoint(have):
+            return True
+        return any(x in states for g in want
+                   for states in self.sat_everywhere.get(g, ()))
 
     def fail_hit_image(self, pair):
         """Image direction: pair is an equivariant/reflecting image of a
@@ -314,20 +286,15 @@ class ClosureEngine:
         return False
 
     def fail_hit_literal(self, pair):
-        """Literal direction: some pair derivable from the query via
-        preserving-only operators is known failing."""
+        """Literal direction: the query, or its image under literal_ops,
+        implies a pair known to fail -- a preserving operator maps a
+        satisfying pair to a satisfying one, so the query fails too."""
         F = self.raw_F
-        if not F:
-            return False
-        if self._lit_cfg is None:
-            self._lit_cfg = ClosureConfig(self.literal_ops, self.cfg.depth,
-                                          self.cfg.state_sim,
-                                          self.cfg.implication,
-                                          table=self.cfg.table)
-        for q in closure_members(pair, self._lit_cfg, PRESERVING):
-            if q in F:
-                return True
-        return False
+        return bool(F) and any(
+            (x, g) in F
+            for x, f in (pair, *_op_chains(pair, self.literal_ops,
+                                           self.cfg.depth))
+            for g in self.cfg.implied_by(f))
 
     def fail_hit(self, pair):
         mode = self.cfg.failure_mode

@@ -57,12 +57,6 @@ class ScaledLine(Space):
     """The integer line, each point standing for `quantum` real units."""
     quantum: float = 1.0
 
-    def to_quanta(self, real_value):
-        return round(real_value / self.quantum)
-
-    def to_real(self, quanta):
-        return quanta * self.quantum
-
 
 @dataclass(frozen=True)
 class BoolSpace(Space):

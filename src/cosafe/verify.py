@@ -46,7 +46,7 @@ Direct calls of verify always search.
 
 from dataclasses import dataclass, field
 
-from .closure import BOTH, IMAGE, LITERAL, ClosureEngine
+from .closure import BOTH, IMAGE, LITERAL, ClosureEngine, _op_chains
 from .formula import ASSERT
 from .predicate import member_fn
 
@@ -249,8 +249,7 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
             for g in cfg.implied_by(f):
                 for x in engine.fail_index.get(g, ()):
                     failing.add(node_of(x, f))
-    use_lit = mode == LITERAL or (mode == BOTH and
-                                  (engine.literal_ops or cfg.state_sim))
+    use_lit = mode == LITERAL or (mode == BOTH and engine.literal_ops)
 
     def lit_fails(node):
         return engine.fail_hit_literal(pair_of(node))
@@ -295,18 +294,15 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     sat_committed = engine.sat_index
     held = {f: [s for g in implicants[f]
                 for s in engine.sat_everywhere.get(g, ())] for f in reach}
-    state_sim = cfg.state_sim
 
     def committed(node):
         x, f = pair_of(node)
-        want = implicants[f]
-        for y in (x,) if not state_sim else (x, *state_sim.get(x, ())):
-            have = sat_committed.get(y)
-            if have and not want.isdisjoint(have):
+        have = sat_committed.get(x)
+        if have and not implicants[f].isdisjoint(have):
+            return True
+        for states in held[f]:
+            if x in states:
                 return True
-            for states in held[f]:
-                if y in states:
-                    return True
         return False
 
     done = set()
@@ -355,12 +351,9 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
             break
         mark_done(node)
         if closing:
-            frontier = [pair_of(node)]
-            derive(frontier[0])
-            for _ in range(cfg.depth):
-                frontier = [op.apply(p) for p in frontier for op in tent_ops]
-                for q in frontier:
-                    derive(q)
+            pair = pair_of(node)
+            for q in (pair, *_op_chains(pair, tent_ops, cfg.depth)):
+                derive(q)
         for succ in expand(node):
             if succ in failing or use_lit and lit_fails(succ):
                 push(succ)

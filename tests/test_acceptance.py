@@ -20,8 +20,8 @@ import itertools
 import pytest
 
 from cosafe.attacker import Attacker, capabilities, hierarchy
-from cosafe.closure import BOTH, EQUIVARIANT, AlgebraicOperator, \
-    ClosureConfig, KnowledgeBase
+from cosafe.closure import BOTH, EQUIVARIANT, IMAGE, LITERAL, \
+    AlgebraicOperator, ClosureConfig, KnowledgeBase
 from cosafe.coalgebra import behaviour_prefix, behaviour_system
 from cosafe.formula import TABLE, formula_similarity
 from cosafe.models import (attack_kinds, dial_eventually, dial_model,
@@ -277,8 +277,13 @@ def test_swat_capability_sets_and_hierarchy(swat_results):
 # Operator soundness: verdicts never change when operators are enabled
 # ---------------------------------------------------------------------------
 
-def run_verdicts(sys_, x0, props, ops, implication=frozenset()):
-    cfg = ClosureConfig(ops, depth=1, failure_mode=BOTH,
+# each soundness test runs every failure-inference mode; a loop inside
+# the test, not a parametrization, so each test keeps its one id
+MODES = (LITERAL, IMAGE, BOTH)
+
+
+def run_verdicts(sys_, x0, props, ops, mode, implication=frozenset()):
+    cfg = ClosureConfig(ops, depth=1, failure_mode=mode,
                         implication=implication)
     results, _, _ = check_many(sys_, x0, props, KnowledgeBase(), cfg)
     return [v.holds() for (_, v) in results]
@@ -289,23 +294,27 @@ def test_operator_soundness_dial():
     rot = AlgebraicOperator("rot", lambda x: (x + 1) % 10,
                             lambda v: (v + 1) % 10, EQUIVARIANT)
     props = [dial_eventually(d, n) for n in range(10)]
-    assert run_verdicts(d, 0, props, (rot,)) == \
-        run_verdicts(d, 0, props, ())
+    for mode in MODES:
+        assert run_verdicts(d, 0, props, (rot,), mode) == \
+            run_verdicts(d, 0, props, (), mode), mode
 
 
 def test_operator_soundness_small_lock():
     sys_ = lock_model(2)
     props = lock_properties(sys_)
     ops = tuple(lock_operators(2).values())
-    assert run_verdicts(sys_, 0, props, ops) == \
-        run_verdicts(sys_, 0, props, ())
+    for mode in MODES:
+        assert run_verdicts(sys_, 0, props, ops, mode) == \
+            run_verdicts(sys_, 0, props, (), mode), mode
 
 
 def test_operator_soundness_puzzle():
     sys_ = puzzle_model(20)
     props = [puzzle_property(sys_, n) for n in (17, 20, 21, 40)]
-    assert run_verdicts(sys_, sys_.initial, props, (puzzle_swap(),)) == \
-        run_verdicts(sys_, sys_.initial, props, ())
+    for mode in MODES:
+        assert run_verdicts(sys_, sys_.initial, props, (puzzle_swap(),),
+                            mode) == \
+            run_verdicts(sys_, sys_.initial, props, (), mode), mode
 
 
 def test_operator_soundness_swat():
@@ -314,11 +323,29 @@ def test_operator_soundness_swat():
     attacks = swat_attacks(sys_)
     targets = [sys_] + [apply_attack(sys_, attacks[n])
                         for n in ("alpha", "beta", "gamma")]
-    for target in targets:
-        with_impl = run_verdicts(target, sys_.initial, plist, (),
-                                 implication=cfg.implication)
-        plain = run_verdicts(target, sys_.initial, plist, ())
-        assert with_impl == plain, target.name
+    for mode in MODES:
+        for target in targets:
+            with_impl = run_verdicts(target, sys_.initial, plist, (), mode,
+                                     implication=cfg.implication)
+            plain = run_verdicts(target, sys_.initial, plist, (), mode)
+            assert with_impl == plain, (target.name, mode)
+
+
+def test_literal_mode_infers_with_equivariant_lock_operators():
+    # the literal check applies every preserving operator, equivariant
+    # ones too, so lock(2) infers in literal mode with the same truth
+    # values as a run without operators
+    sys_ = lock_model(2)
+    props = lock_properties(sys_)
+    plain = run_verdicts(sys_, 0, props, (), LITERAL)
+    for names, expected in ((("shift",), 45), (("add",), 10),
+                            (("shift", "add"), 46)):
+        cfg = ClosureConfig(tuple(lock_operators(2, names).values()),
+                            depth=1, failure_mode=LITERAL)
+        results, _, inferred = check_many(sys_, 0, props, KnowledgeBase(),
+                                          cfg)
+        assert inferred == expected, names
+        assert [v.holds() for _, v in results] == plain, names
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,19 @@ def test_check_bad_input_exits_2_with_one_line(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("prop,outcome", [("G <.in[0,100]>", "Holds"),
+                                          ("G <.in[0,3]>", "Fails")])
+def test_check_operator_without_an_image_rule_changes_nothing(capsys, prop,
+                                                              outcome):
+    # swap has no image of an interval: the closure derives nothing from
+    # such a pair, and the output is that of a run without operators
+    argv = ("check", "--model", "puzzle", "--puzzle-max", "5")
+    code, out, err = run(capsys, *argv, "--operators", "swap", prop)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcome"] == outcome
+    assert out == run(capsys, *argv, prop)[1]
+
+
 def test_python_m_cosafe_runs_from_a_checkout():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -241,6 +254,22 @@ def test_quantify_from_attacker_file(tmp_path, capsys):
     assert by_name["nudge"]["capabilities"] == ["Con"]
     assert doc["hasse"] == [["nudge", "spoof-all"]]
     assert '"nudge" -> "spoof-all";' in dot.read_text()
+
+
+def test_quantify_builds_the_water_model_once(tmp_path, capsys, monkeypatch):
+    # the attackers and the properties come from one system
+    built = []
+    swat_model = models.swat_model
+    monkeypatch.setattr(models, "swat_model",
+                        lambda *a, **k: built.append(a) or swat_model(*a, **k))
+    path = tmp_path / "attackers.json"
+    path.write_text(json.dumps([{"name": "spoof-all",
+                                 "attacks": [{"kind": "surge"}]}]))
+    code, out, _ = run(capsys, "quantify", "--model", "swat",
+                       "--attackers", str(path))
+    assert code == 0 and len(built) == 1
+    assert json.loads(out)["reports"][0]["capabilities"] == \
+        ["Con", "Hg", "Lvl"]
 
 
 def test_quantify_rejects_unknown_kind(tmp_path, capsys):

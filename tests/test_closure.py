@@ -2,7 +2,7 @@ import pytest
 
 from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
                             AlgebraicOperator, ClosureConfig, ClosureEngine,
-                            KnowledgeBase, closure_members)
+                            KnowledgeBase)
 from cosafe.formula import TABLE
 from cosafe.models import (dial_model, lock_decode, lock_encode, lock_model,
                            lock_operators, lock_properties, puzzle_model,
@@ -204,23 +204,16 @@ def test_infer_with_implication():
     assert not loaded(KnowledgeBase(F=[(0, f)]), cfg).fail_hit((0, g))
 
 
-def test_infer_satisfied_with_state_simulation():
-    d = dial_model()
-    f = TABLE.tt(d.observation_space)
-    cfg = ClosureConfig(state_sim={3: (7,)})
-    kb = KnowledgeBase(R=[(7, f)])
-    assert loaded(kb, cfg).sat_hit((3, f))
-    assert not loaded(kb, cfg).sat_hit((4, f))
-
-
-def test_closure_members_includes_id_and_images(lock, lock_ops):
+def test_literal_failure_check_uses_id_and_images(lock, lock_ops):
+    # in literal mode the equivariant shift derives from the query: the
+    # query fails when it or its shift image is known failing
     f = neq_formula(lock, 1234)
     shift = lock_ops["shift"]
-    cfg = ClosureConfig(operators=[shift], depth=1)
-    members = set(closure_members((1234, f), cfg, PRESERVING))
-    assert (1234, f) in members
-    assert shift.apply((1234, f)) in members
-    assert len(members) == 2
+    cfg = ClosureConfig(operators=[shift], depth=1, failure_mode=LITERAL)
+    assert loaded(KnowledgeBase(F=[(1234, f)]), cfg).fail_hit((1234, f))
+    engine = loaded(KnowledgeBase(F=[shift.apply((1234, f))]), cfg)
+    assert engine.fail_hit((1234, f))
+    assert not engine.fail_hit((1235, f))
 
 
 def test_image_pred_requires_bijective_for_complement():
@@ -231,6 +224,22 @@ def test_image_pred_requires_bijective_for_complement():
                       FiniteSet(d.observation_space, frozenset((3,))))
     with pytest.raises(ValueError):
         const.image_pred(pred)
+
+
+def test_operator_without_an_image_rule_derives_nothing():
+    # a non-bijective operator has no image of a complement: noting a
+    # pair derives only the pair, and the literal check derives nothing
+    const = AlgebraicOperator("const0", lambda x: 0, lambda v: 0,
+                              EQUIVARIANT, bijective=False)
+    d = dial_model()
+    f = neq_formula(d, 3)
+    engine = ClosureEngine(ClosureConfig(operators=[const]))
+    engine.note_satisfied((5, f))
+    engine.note_failed((3, f))
+    assert engine.sat_index == {5: {f}}
+    assert engine.fail_index == {f: {3}}
+    lit = ClosureConfig(operators=[const], failure_mode=LITERAL)
+    assert not loaded(KnowledgeBase(F=[(3, f)]), lit).fail_hit((4, f))
 
 
 def test_lock_properties_map_under_operators(lock, lock_ops):

@@ -591,12 +591,11 @@ def test_walk_unchanged_when_the_system_raises(model, first, fail, second,
 def systems_and_properties(draw):
     """A random deterministic system (states 0..n-1 for n at most 30,
     stored as its `size`, at most 3 inputs, observations in 0..3), two
-    start states, properties, each asserted or refuted, and an optional
-    random state simulation.  A property is G <Q>, or after the first
-    <Q> & [A] G <Q'> or G <Q> & [A] G <Q'> for a set A of inputs, whose
-    nodes are (state, formula) pairs.  Each G <Q> is drawn from the same
-    few, one of which holds at every state, so that runs on pairs meet
-    what earlier G runs committed."""
+    start states, and properties, each asserted or refuted.  A property
+    is G <Q>, or after the first <Q> & [A] G <Q'> or G <Q> & [A] G <Q'>
+    for a set A of inputs, whose nodes are (state, formula) pairs.  Each
+    G <Q> is drawn from the same few, one of which holds at every state,
+    so that runs on pairs meet what earlier G runs committed."""
     n = draw(st.integers(1, 30))
     inputs = tuple(range(draw(st.integers(1, 3))))
     table = [tuple(draw(st.integers(0, n - 1)) for _ in inputs)
@@ -633,11 +632,7 @@ def systems_and_properties(draw):
         polarity = draw(st.sampled_from((ASSERT, REFUTE)))
         props.append(Property("p%d" % k, polarity, body))
     starts = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
-    state_sim = None
-    if draw(st.booleans()):
-        state_sim = {x: draw(st.sets(st.integers(0, n - 1), max_size=2))
-                     for x in range(n)}
-    return system, starts, props, state_sim
+    return system, starts, props
 
 
 def searched_check_many(system, x0, props, kb, cfg, max_pairs):
@@ -667,11 +662,10 @@ def searched_check_many(system, x0, props, kb, cfg, max_pairs):
 @given(systems_and_properties(), st.sampled_from((IMAGE, BOTH, LITERAL)),
        st.booleans(), st.sampled_from((3, 10, DEFAULT_MAX_PAIRS)))
 def test_check_many_walk_agrees_with_search(case, mode, implied, max_pairs):
-    system, starts, props, state_sim = case
+    system, starts, props = case
     implication = (formula_similarity([p.body for p in props], system.inputs)
                    if implied else None)
-    cfg = ClosureConfig(state_sim=state_sim, implication=implication,
-                        failure_mode=mode)
+    cfg = ClosureConfig(implication=implication, failure_mode=mode)
 
     def show(results):
         return [(p.name, v.outcome, v.counterexample, v.witness,
@@ -712,7 +706,7 @@ def test_behaviour_system_keeps_check_many_outcomes(case, mode, implied):
     # or fails as on the base system.  Whether it is inferred may
     # differ: knowledge about one state covers its whole class in the
     # quotient.
-    system, starts, props, _ = case
+    system, starts, props = case
     n = system.size
     behaviour = behaviour_system(system, n)
     classes = prefix_classes(system, n)
