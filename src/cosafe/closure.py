@@ -31,16 +31,26 @@ class AlgebraicOperator:
     """A named (state, formula) transformer with a declared soundness
     direction.  Formula transformation is structural: observation
     predicates are imaged under the operator's observation-value map,
-    boxes/conjunctions/fixpoints are mapped recursively."""
+    boxes/conjunctions/fixpoints are mapped recursively.
+
+    input_map is the input permutation the operator commutes with
+    stepping under: state_map(step(x, i)) == step(state_map(x),
+    input_map(i)).  A box's FiniteSet of inputs is mapped through it, so
+    x |= [A]f gives state_map(x) |= [input_map(A)] map(f); a box over
+    every input (Universe) is kept as it is.  An operator without an
+    input_map, or a box over any other input predicate, has no image
+    rule for the box (ValueError), and the closure derives nothing from
+    that formula."""
 
     def __init__(self, name, state_map, obs_value_map, direction,
-                 bijective=True, table=TABLE):
+                 bijective=True, table=TABLE, input_map=None):
         self.name = name
         self.state_map = state_map
         self.obs_value_map = obs_value_map
         self.direction = direction
         self.bijective = bijective
         self.table = table
+        self.input_map = input_map
         self._fmap_cache = {}
 
     def __repr__(self):
@@ -65,6 +75,16 @@ class AlgebraicOperator:
         raise ValueError("no image rule for predicate %r under %s"
                          % (pred, self.name))
 
+    def image_inputs(self, pred):
+        """The input predicate of a box's image: see the class."""
+        if isinstance(pred, Universe):
+            return pred
+        if isinstance(pred, FiniteSet) and self.input_map is not None:
+            return FiniteSet(pred.space,
+                             frozenset(map(self.input_map, pred.values)))
+        raise ValueError("no image rule for the box inputs %r under %s"
+                         % (pred, self.name))
+
     def map_formula(self, fid):
         out = self._fmap_cache.get(fid)
         if out is not None:
@@ -79,7 +99,8 @@ class AlgebraicOperator:
         elif tag == "obs":
             out = t.mk_obs(self.image_pred(node[1]))
         elif tag == "box":
-            out = t.mk_box(node[1], self.map_formula(node[2]))
+            out = t.mk_box(self.image_inputs(node[1]),
+                           self.map_formula(node[2]))
         elif tag == "and":
             out = t.mk_and([self.map_formula(f) for f in node[1]])
         elif tag == "nu":
@@ -154,6 +175,9 @@ class ClosureConfig:
     implication: optional relation of (f, g) formula-id pairs, f implies
       g (default reflexive only).
     failure_mode: literal | image | both.
+
+    implicants_of and implied_by return one frozenset per formula, made
+    on the first query and returned to every later one.
     """
 
     def __init__(self, operators=(), depth=1, implication=None,
@@ -165,22 +189,36 @@ class ClosureConfig:
         self.implication = frozenset(implication or ())
         self.failure_mode = failure_mode
         self.table = table
-        self._implicants = {}
-        self._implied = {}
+        self._implicants = None
+        self._implied = None
+
+    def _index(self):
+        """The implication relation by implicand and by implicant; built
+        on the first query, so a config that is never queried costs no
+        pass over the relation."""
+        implicants, implied = {}, {}
         for (f, g) in self.implication:
-            self._implicants.setdefault(g, set()).add(f)
-            self._implied.setdefault(f, set()).add(g)
+            implicants.setdefault(g, {g}).add(f)
+            implied.setdefault(f, {f}).add(g)
+        self._implicants = {g: frozenset(fs) for g, fs in implicants.items()}
+        self._implied = {f: frozenset(gs) for f, gs in implied.items()}
 
     def implicants_of(self, f):
         """Formulae known to imply f, including f itself."""
-        out = {f}
-        out |= self._implicants.get(f, set())
+        if self._implicants is None:
+            self._index()
+        out = self._implicants.get(f)
+        if out is None:
+            out = self._implicants[f] = frozenset((f,))
         return out
 
     def implied_by(self, f):
         """Formulae f is known to imply, including f itself."""
-        out = {f}
-        out |= self._implied.get(f, set())
+        if self._implied is None:
+            self._index()
+        out = self._implied.get(f)
+        if out is None:
+            out = self._implied[f] = frozenset((f,))
         return out
 
 
@@ -188,6 +226,8 @@ def _op_chains(pair, ops, depth):
     """Pairs reachable by <= depth operator applications (excluding id).
     An image an operator has no rule for (apply raises ValueError) is
     skipped: the closure then derives less, which is sound."""
+    if not ops:
+        return ()
     seen = {pair}
     frontier = [pair]
     for _ in range(depth):
@@ -217,7 +257,9 @@ class ClosureEngine:
     variants.  sat_formulae is every formula id satisfied somewhere.
     literal_ops are the preserving operators the literal failure check
     applies to a query: all of them in literal mode, and otherwise those
-    the image direction does not already use."""
+    the image direction does not already use.  Literal mode reads only
+    raw_F, so there fail_index holds the failing pairs alone, without
+    their images."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -226,11 +268,12 @@ class ClosureEngine:
         self.sat_formulae = set()
         self.fail_index = {}
         self.raw_F = set()
+        literal = cfg.failure_mode == LITERAL
         self._sat_ops = tuple(op for op in cfg.operators if op.preserves())
-        self._fail_ops = tuple(op for op in cfg.operators if op.reflects())
+        self._fail_ops = () if literal else tuple(
+            op for op in cfg.operators if op.reflects())
         self.literal_ops = tuple(
-            op for op in self._sat_ops
-            if cfg.failure_mode == LITERAL or not op.reflects())
+            op for op in self._sat_ops if literal or not op.reflects())
 
     def load(self, kb):
         for f, xs in kb.sat.items():
@@ -262,8 +305,16 @@ class ClosureEngine:
 
     def note_failed(self, pair):
         self.raw_F.add(pair)
-        for (x, f) in [pair, *_op_chains(pair, self._fail_ops, self.cfg.depth)]:
-            self.fail_index.setdefault(f, set()).add(x)
+        index = self.fail_index
+        x, f = pair
+        states = index.get(f)
+        if states is None:
+            index[f] = {x}
+        else:
+            states.add(x)
+        if self._fail_ops:
+            for (y, g) in _op_chains(pair, self._fail_ops, self.cfg.depth):
+                index.setdefault(g, set()).add(y)
 
     def sat_hit(self, pair):
         x, f = pair
@@ -271,8 +322,9 @@ class ClosureEngine:
         have = self.sat_index.get(x)
         if have and not want.isdisjoint(have):
             return True
-        return any(x in states for g in want
-                   for states in self.sat_everywhere.get(g, ()))
+        everywhere = self.sat_everywhere
+        return bool(everywhere) and any(
+            x in states for g in want for states in everywhere.get(g, ()))
 
     def fail_hit_image(self, pair):
         """Image direction: pair is an equivariant/reflecting image of a
@@ -300,6 +352,9 @@ class ClosureEngine:
         mode = self.cfg.failure_mode
         if mode in (IMAGE, BOTH) and self.fail_hit_image(pair):
             return True
-        if mode == IMAGE:
+        # with no literal_ops the literal check looks up the query's
+        # implication variants in raw_F, and fail_index holds every pair
+        # of raw_F: it would find nothing fail_hit_image did not
+        if mode == IMAGE or mode == BOTH and not self.literal_ops:
             return False
         return self.fail_hit_literal(pair)

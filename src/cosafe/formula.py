@@ -271,13 +271,6 @@ class FormulaTable:
                     todo.append(g)
         return seen
 
-    def size(self, fid, inputs):
-        """Number of distinct formulae reachable from fid (including itself)."""
-        return len(self.reachable(fid, inputs))
-
-    def is_tt(self, fid):
-        return self.node(fid)[0] == TT
-
 
 TABLE = FormulaTable()
 

@@ -103,22 +103,29 @@ def lock_encode(code):
 def lock_operators(digits=4, names=None):
     """The dial symmetries: rotations of the dials and increments of the
     last dial, all equivariant bijections that commute with stepping.
-    Realized as precomputed permutation tables of the integer codes."""
+    Realized as precomputed permutation tables of the integer codes.
+    Rotating the dials by k moves dial i to dial i+k, so it commutes with
+    stepping when input i becomes input (i+k) mod digits; an increment
+    keeps every input."""
     n = 10 ** digits
 
-    def table_op(label, code_map):
+    def table_op(label, code_map, input_map):
         arr = [lock_encode(code_map(lock_decode(x, digits)))
                for x in range(n)]
         get = arr.__getitem__
-        return AlgebraicOperator(label, get, get, EQUIVARIANT)
+        return AlgebraicOperator(label, get, get, EQUIVARIANT,
+                                 input_map=input_map)
 
     ops = {}
     for k in range(1, digits):
         label = "shift" if k == 1 else "shift%d" % k
-        ops[label] = table_op(label, lambda c, k=k: c[-k:] + c[:-k])
+        ops[label] = table_op(label, lambda c, k=k: c[-k:] + c[:-k],
+                              lambda i, k=k: (i + k) % digits)
     for k in range(1, 10):
         label = "add" if k == 1 else "add%d" % k
-        ops[label] = table_op(label, lambda c, k=k: c[:-1] + ((c[-1] + k) % 10,))
+        ops[label] = table_op(label,
+                              lambda c, k=k: c[:-1] + ((c[-1] + k) % 10,),
+                              lambda i: i)
     if names is None:
         return ops
     unknown = [m for m in names if m not in ops]
@@ -177,11 +184,13 @@ def puzzle_model(max_c):
 def puzzle_swap():
     """Swap the two processes: the interleaving product is symmetric, so
     this is an equivariant involution that leaves the accumulator (and
-    hence every formula about it) unchanged."""
+    hence every observation predicate) unchanged.  It commutes with
+    stepping when inputs 1 and 2 are swapped too."""
     def state_map(x):
         return (x[1], x[0], x[2])
 
-    return AlgebraicOperator("swap", state_map, lambda v: v, EQUIVARIANT)
+    return AlgebraicOperator("swap", state_map, lambda v: v, EQUIVARIANT,
+                             input_map={1: 2, 2: 1}.__getitem__)
 
 
 def puzzle_property(sys, n, table=TABLE):

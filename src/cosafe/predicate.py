@@ -234,34 +234,39 @@ def _factory(expr, n):
 def _expr(p, o, consts):
     """The source of an expression equal to member(p, o) for the
     observation expression o; each constant is appended to consts and
-    named by its position there."""
-    def const(value):
-        consts.append(value)
-        return "c%d" % (len(consts) - 1)
-
+    named by its position there.  A complemented finite set, the check
+    of <.!=v>, is tested for first."""
+    if isinstance(p, Complement):
+        return "not (%s)" % _expr(p.inner, o, consts)
+    if isinstance(p, FiniteSet):
+        return "%s in %s" % (o, _const(consts, p.values))
     if isinstance(p, Empty):
         return "False"
     if isinstance(p, Universe):
         return "True"
-    if isinstance(p, FiniteSet):
-        return "%s in %s" % (o, const(p.values))
     if isinstance(p, Interval):
-        return "%s <= %s <= %s" % (const(p.lo), o, const(p.hi))
-    if isinstance(p, Complement):
-        return "not (%s)" % _expr(p.inner, o, consts)
+        return "%s <= %s <= %s" % (_const(consts, p.lo), o,
+                                   _const(consts, p.hi))
     if isinstance(p, Product):
         # only the constrained components are looked at
         return " and ".join(
-            "(%s)" % _expr(c, "%s[%s]" % (o, const(k)), consts)
+            "(%s)" % _expr(c, "%s[%s]" % (o, _const(consts, k)), consts)
             for k, c in enumerate(p.components)
             if not isinstance(c, Universe)) or "True"
     if isinstance(p, Intersection):
         return " and ".join("(%s)" % _expr(part, o, consts)
                             for part in p.parts) or "True"
     if isinstance(p, LinearLink):
-        return "%s[%s] == %s * %s[%s]" % (o, const(p.dst), const(p.factor),
-                                          o, const(p.src))
+        return "%s[%s] == %s * %s[%s]" % (
+            o, _const(consts, p.dst), _const(consts, p.factor), o,
+            _const(consts, p.src))
     raise TypeError("unknown predicate %r" % (p,))
+
+
+def _const(consts, value):
+    """Append value to consts; its name in the compiled source."""
+    consts.append(value)
+    return "c%d" % (len(consts) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,13 @@ sys.step directly, with no stack and no successors tuple.  A run scans
 the walk instead of searching when no knowledge can steer it: its nodes
 are bare states, no failing node is known, the literal failure check is
 off, no tentative closure applies, and no implicant of the formula is
-committed anywhere.  Under those conditions the loop skips nothing and
-pushes every unseen successor in input order, so it would pop exactly
-the walk's states; the scan therefore gives the loop's verdict and
+committed anywhere.  verify decides this first, from the formula's
+reachable set and the closure engine's indexes, and builds nothing of
+the search (compiled checks of every formula, successor obligations,
+the failing set, the closure of tentative pairs) unless it searches; a
+scan compiles only the formula's own check.  Under those conditions the
+loop skips nothing and pushes every unseen successor in input order, so
+it would pop exactly the walk's states; the scan therefore gives the loop's verdict and
 counters (Fails at the first bad observation with its position as pairs
 explored, Holds after the whole walk, Unknown past the budget) and
 commits the same pairs.  A scanned Holds commits them as one fact, the
@@ -200,6 +204,32 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
         engine.load(kb)
 
     reach = table.reachable(psi0, sys.inputs)
+    mode = cfg.failure_mode
+    use_lit = mode == LITERAL or (mode == BOTH and bool(engine.literal_ops))
+    if _walk is not None and reach == {psi0} and not use_lit:
+        # psi0 is its own obligation after every input (as G <Q> is), so
+        # the nodes are bare states.  The run scans the walk when no
+        # knowledge can skip or refute one of them: no committed
+        # implicant of psi0, no known failure of a formula psi0 implies,
+        # and no operator that closes the tentative pairs (the only
+        # formula of the run is psi0, so a pair derives more than its
+        # own node only through an operator).  The loop would then pop
+        # exactly the walk's states, in its order.
+        implicants = cfg.implicants_of(psi0)
+        # a formula is a key of fail_index once it fails somewhere
+        failed = mode in (IMAGE, BOTH) and not \
+            engine.fail_index.keys().isdisjoint(cfg.implied_by(psi0))
+        if (not failed and implicants.isdisjoint(engine.sat_formulae)
+                and not _tentative_ops(cfg, reach, implicants)):
+            outcome, explored, bad = _walk.scan(member_fn(table.obs(psi0)),
+                                                max_pairs)
+            counterexample = (bad, psi0) if outcome == FAILS else None
+            if outcome == HOLDS:  # so seen is every state reachable from x0
+                kb.commit_all(_walk.seen, psi0)
+                engine.note_satisfied_everywhere(_walk.seen, psi0)
+            return _conclude(kb, engine, outcome, counterexample, None,
+                             explored, 0, ())
+
     implicants = {f: cfg.implicants_of(f) for f in reach}
     # each formula's observation check, compiled once
     checks = {f: member_fn(table.obs(f)) for f in reach}
@@ -207,8 +237,7 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     successors = sys.successors
 
     if reach == {psi0}:
-        # psi0 is its own obligation after every input (as G <Q> is): a
-        # node is a bare state
+        # a node is a bare state
         node0 = x0
         check = checks[psi0]
         expand = successors
@@ -242,54 +271,25 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     # Failure knowledge is frozen for the duration of one run (the run
     # ends the moment anything is added), so the failing nodes are
     # collected up front.
-    mode = cfg.failure_mode
     failing = set()
     if mode in (IMAGE, BOTH):
         for f in reach:
             for g in cfg.implied_by(f):
                 for x in engine.fail_index.get(g, ()):
                     failing.add(node_of(x, f))
-    use_lit = mode == LITERAL or (mode == BOTH and engine.literal_ops)
 
     def lit_fails(node):
         return engine.fail_hit_literal(pair_of(node))
 
-    # Tentatively satisfying pairs are closed under implication and under
-    # equivariant operators only: skipping an unexplored subtree on the
-    # strength of an unconfirmed pair needs an operator that also
-    # reflects satisfaction.  lifts[h] lists the formulae of this run
-    # that h implies; an image whose formula implies none of them is
-    # never queried, and an operator that makes only such images is
-    # dropped.
+    # lifts[h] lists the formulae of this run that h implies
     lifts = {}
     for f in reach:
         for h in implicants[f]:
             lifts.setdefault(h, []).append(f)
-    tent_ops = []
-    for op in cfg.operators:
-        if not (op.preserves() and op.reflects()):
-            continue
-        try:
-            if any(op.map_formula(f) in lifts for f in reach):
-                tent_ops.append(op)
-        except ValueError:
-            pass
+    tent_ops = _tentative_ops(cfg, reach, lifts)
     # a derived pair adds more than its own node only when its formula
     # implies another formula of this run, or when an operator maps it
     closing = bool(tent_ops) or any(len(lifts[f]) > 1 for f in reach)
-
-    if (_walk is not None and reach == {psi0} and not failing
-            and not use_lit and not closing
-            and implicants[psi0].isdisjoint(engine.sat_formulae)):
-        # No knowledge can skip or refute a node, so the loop would pop
-        # exactly the walk's states, in its order: scan the walk instead.
-        outcome, explored, bad = _walk.scan(checks[psi0], max_pairs)
-        counterexample = (bad, psi0) if outcome == FAILS else None
-        if outcome == HOLDS:  # so seen is every state reachable from x0
-            kb.commit_all(_walk.seen, psi0)
-            engine.note_satisfied_everywhere(_walk.seen, psi0)
-        return _conclude(kb, engine, outcome, counterexample, None,
-                         explored, 0, ())
 
     sat_committed = engine.sat_index
     held = {f: [s for g in implicants[f]
@@ -368,6 +368,26 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
                 hits += 1
     return _conclude(kb, engine, outcome, counterexample, witness, explored,
                      hits, map(pair_of, done))
+
+
+def _tentative_ops(cfg, reach, targets):
+    """The operators a run closes its tentatively satisfying pairs
+    under.  Skipping an unexplored subtree on the strength of an
+    unconfirmed pair needs an operator that also reflects satisfaction,
+    so only equivariant operators qualify, and of those only the ones
+    that map some formula of the run (reach) into targets, the formulae
+    that imply one of the run's: any other image is never queried.  An
+    operator with no image rule for a formula (ValueError) is dropped."""
+    out = []
+    for op in cfg.operators:
+        if not (op.preserves() and op.reflects()):
+            continue
+        try:
+            if any(op.map_formula(f) in targets for f in reach):
+                out.append(op)
+        except ValueError:
+            pass
+    return out
 
 
 def _conclude(kb, engine, outcome, counterexample, witness, explored, hits,

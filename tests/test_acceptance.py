@@ -23,11 +23,12 @@ from cosafe.attacker import Attacker, capabilities, hierarchy
 from cosafe.closure import BOTH, EQUIVARIANT, IMAGE, LITERAL, \
     AlgebraicOperator, ClosureConfig, KnowledgeBase
 from cosafe.coalgebra import behaviour_prefix, behaviour_system
-from cosafe.formula import TABLE, formula_similarity
+from cosafe.formula import ASSERT, TABLE, Property, formula_similarity
 from cosafe.models import (attack_kinds, dial_eventually, dial_model,
                            lock_model, lock_operators, lock_properties,
                            puzzle_model, puzzle_property, puzzle_swap,
                            swat_attacks, swat_model, swat_properties)
+from cosafe.syntax import SyntaxContext, parse_property
 from cosafe.verify import check_many, check_property, order_properties, verify
 
 LOCK_OPERATOR_SETS = (
@@ -223,8 +224,8 @@ def test_swat_small_cells(swat_results):
     assert abs(matrix[("unattacked", "Hg")].stats.pairs_explored - 1) <= 5
 
 
-def reachable_count(sys_, x0):
-    """Number of states reachable from x0 by plain iteration of step."""
+def reachable_states(sys_, x0):
+    """The states reachable from x0 by plain iteration of step."""
     seen = {x0}
     stack = [x0]
     while stack:
@@ -234,7 +235,7 @@ def reachable_count(sys_, x0):
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-    return len(seen)
+    return seen
 
 
 def test_swat_unattacked_full_sweeps(swat_results):
@@ -242,7 +243,7 @@ def test_swat_unattacked_full_sweeps(swat_results):
     # 15733 states (a lasso), not 15757; see the module docstring
     matrix, _ = swat_results
     sys_ = swat_model()
-    reachable = reachable_count(sys_, sys_.initial)
+    reachable = len(reachable_states(sys_, sys_.initial))
     for cell in (("unattacked", "Lvl"), ("unattacked", "Con")):
         assert matrix[cell].stats.pairs_explored == reachable, cell
     for cell in (("unattacked", "Lvl"), ("unattacked", "Con")):
@@ -346,6 +347,81 @@ def test_literal_mode_infers_with_equivariant_lock_operators():
                                           cfg)
         assert inferred == expected, names
         assert [v.holds() for _, v in results] == plain, names
+
+
+# ---------------------------------------------------------------------------
+# Operators that permute inputs map a box's inputs as well
+# ---------------------------------------------------------------------------
+
+def input_permuting_cases():
+    """(system, x0, operators by name, observation values): lock(2),
+    whose shift moves input i to i+1 and whose add keeps every input,
+    and puzzle(6), whose swap exchanges inputs 1 and 2.  The lock values
+    are the codes shift fixes and a few it moves."""
+    lock, puzzle = lock_model(2), puzzle_model(6)
+    return ((lock, 0, lock_operators(2, ("shift", "add")),
+             (0, 11, 44, 99, 12, 21, 45)),
+            (puzzle, puzzle.initial, {"swap": puzzle_swap()}, range(13)))
+
+
+def box_properties(sys_, values):
+    """Asserted G [A] [B] <.!=v> and [A] G <.!=v> for every v of values
+    and A, B each one input or every input."""
+    ctx = SyntaxContext(sys_.observation_space, sys_.input_pred)
+    boxes = ["{%s}" % a for a in sys_.inputs]
+    boxes.append("{%s}" % ",".join(map(str, sys_.inputs)))
+    texts = ["G [%s] [%s] <.!=%d>" % (a, b, v)
+             for v in values for a in boxes for b in boxes]
+    texts += ["[%s] G <.!=%d>" % (a, v) for v in values for a in boxes]
+    return [Property(text, ASSERT, parse_property(text, ctx).body)
+            for text in texts]
+
+
+def test_input_permuting_operators_keep_box_verdicts():
+    # each operator, alone, in every mode: a single run of each property
+    # and one check_many of all of them give the truth values of the run
+    # without operators
+    for sys_, x0, ops, values in input_permuting_cases():
+        props = box_properties(sys_, values)
+        plain = run_verdicts(sys_, x0, props, (), BOTH)
+        for name, op in ops.items():
+            for mode in MODES:
+                cfg = ClosureConfig((op,), depth=1, failure_mode=mode)
+                single = [check_property(sys_, x0, p, KnowledgeBase(),
+                                         cfg)[0].holds() for p in props]
+                assert single == plain, (sys_.name, name, mode)
+                assert run_verdicts(sys_, x0, props, (op,), mode) == \
+                    plain, (sys_.name, name, mode)
+
+
+def test_image_of_a_box_formula_checked_with_shared_knowledge():
+    # verify [{i}] <.!=v> at x, then its image under op at op(x) with
+    # the same knowledge: the image's verdict is its truth value.  v is
+    # chosen so that op(v) is what op(x) shows after some input j, so
+    # the image fails at op(x) if its box names the wrong input
+    for sys_, x0, ops, _ in input_permuting_cases():
+        ctx = SyntaxContext(sys_.observation_space, sys_.input_pred)
+        states = reachable_states(sys_, x0)
+        values = {sys_.observe_value(x) for x in states}
+        plain_cfg = ClosureConfig()
+        for name, op in ops.items():
+            back = {op.obs_value_map(v): v for v in values}
+            for mode in MODES:
+                cfg = ClosureConfig((op,), depth=1, failure_mode=mode)
+                for x in states:
+                    y = op.state_map(x)
+                    for i, j in itertools.product(sys_.inputs, repeat=2):
+                        v = back[sys_.observe_value(sys_.step(y, j))]
+                        f = parse_property("[{%s}] <.!=%d>" % (i, v),
+                                           ctx).body
+                        kb = KnowledgeBase()
+                        first, kb = verify(sys_, x, f, kb, cfg)
+                        image = op.map_formula(f)
+                        second, _ = verify(sys_, y, image, kb, cfg)
+                        truth, _ = verify(sys_, y, image, KnowledgeBase(),
+                                          plain_cfg)
+                        assert second.holds() == truth.holds(), \
+                            (sys_.name, name, mode, x, i, v)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,21 @@ def test_check_operator_without_an_image_rule_changes_nothing(capsys, prop,
     assert out == run(capsys, *argv, prop)[1]
 
 
+@pytest.mark.parametrize("mode", ("literal", "image", "both"))
+def test_check_shift_maps_the_inputs_a_box_names(capsys, mode):
+    # shift moves input 1 to input 0, so it maps this formula to
+    # G [{0}] [{0}] <.!=44>: the run closes nothing under it and fails
+    # as a run without operators does
+    argv = ("check", "--model", "lock", "--digits", "2", "--state", "4",
+            "--failure-inference", mode)
+    prop = "G [{1}] [{1}] <.!=44>"
+    code, out, err = run(capsys, *argv, "--operators", "shift", prop)
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert (result["outcome"], result["pairs_explored"]) == ("Fails", 53)
+    assert out == run(capsys, *argv, prop)[1]
+
+
 def test_python_m_cosafe_runs_from_a_checkout():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
-                            AlgebraicOperator, ClosureConfig, ClosureEngine,
+                            REFLECTING, AlgebraicOperator, ClosureConfig, ClosureEngine,
                             KnowledgeBase)
 from cosafe.formula import TABLE
 from cosafe.models import (dial_model, lock_decode, lock_encode, lock_model,
@@ -214,6 +215,55 @@ def test_literal_failure_check_uses_id_and_images(lock, lock_ops):
     engine = loaded(KnowledgeBase(F=[shift.apply((1234, f))]), cfg)
     assert engine.fail_hit((1234, f))
     assert not engine.fail_hit((1235, f))
+
+
+def test_literal_mode_indexes_no_failure_image(lock, lock_ops):
+    # literal mode reads only raw_F, so noting a failure indexes the
+    # failing pair alone; the image direction indexes its shift image too
+    f = neq_formula(lock, 1234)
+    shift = lock_ops["shift"]
+    pair = (1234, f)
+    y, g = shift.apply(pair)
+    for mode, index in ((LITERAL, {f: {1234}}),
+                        (IMAGE, {f: {1234}, g: {y}}),
+                        (BOTH, {f: {1234}, g: {y}})):
+        engine = loaded(KnowledgeBase(F=[pair]), ClosureConfig(
+            operators=[shift], failure_mode=mode))
+        assert engine.fail_index == index, mode
+        assert engine.raw_F == {pair}, mode
+
+
+DIAL = dial_model()
+# dial formulae G <. != v>, some of them implying others
+DIAL_FORMULAE = [neq_formula(DIAL, v) for v in range(4)]
+DIAL_PAIRS = st.tuples(st.integers(0, 9), st.sampled_from(DIAL_FORMULAE))
+
+
+def rotation(direction):
+    return AlgebraicOperator("rot", lambda x: (x + 1) % 10,
+                             lambda v: (v + 1) % 10, direction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(DIAL_PAIRS, max_size=8),
+       st.sets(st.tuples(st.sampled_from(DIAL_FORMULAE),
+                         st.sampled_from(DIAL_FORMULAE)), max_size=6),
+       st.sampled_from(((), (rotation(EQUIVARIANT),),
+                        (rotation(REFLECTING),))),
+       st.integers(0, 2), DIAL_PAIRS)
+def test_both_mode_without_literal_ops_fails_by_image_alone(F, implication,
+                                                            ops, depth,
+                                                            query):
+    # every failing pair is indexed in fail_index, so with no literal_ops
+    # the literal check finds nothing the image check does not, and
+    # fail_hit answers by the image check alone
+    cfg = ClosureConfig(ops, depth=depth, implication=implication,
+                        failure_mode=BOTH)
+    engine = loaded(KnowledgeBase(F=F), cfg)
+    assert engine.literal_ops == ()
+    image = engine.fail_hit_image(query)
+    assert engine.fail_hit(query) == image
+    assert image or not engine.fail_hit_literal(query)
 
 
 def test_image_pred_requires_bijective_for_complement():

@@ -1,6 +1,7 @@
 import pytest
 
-from cosafe.formula import ASSERT, REFUTE, TABLE, Property, formula_similarity
+from cosafe.formula import (ASSERT, REFUTE, TABLE, TT, Property,
+                            formula_similarity)
 from cosafe.models import swat_model, swat_properties
 from cosafe.predicate import (Complement, FiniteSet, FiniteSpace, Universe,
                               subset)
@@ -32,7 +33,7 @@ def test_obs_of_always():
 
 def test_next_of_obs_is_tt():
     f = TABLE.mk_obs(obs_pred(1))
-    assert TABLE.is_tt(TABLE.next(f, "*"))
+    assert TABLE.node(TABLE.next(f, "*"))[0] == TT
 
 
 def test_next_of_box_outside_input_set_is_tt():
@@ -40,7 +41,7 @@ def test_next_of_box_outside_input_set_is_tt():
     body = TABLE.mk_obs(obs_pred(1))
     f = TABLE.mk_box(narrow, body)
     assert TABLE.next(f, "a") == body
-    assert TABLE.is_tt(TABLE.next(f, "b"))
+    assert TABLE.node(TABLE.next(f, "b"))[0] == TT
 
 
 def test_next_of_always_is_itself():
@@ -59,7 +60,7 @@ def test_conjunction_normalization():
 
 
 def test_obs_universe_normalizes_to_tt():
-    assert TABLE.is_tt(TABLE.mk_obs(Universe(SPACE)))
+    assert TABLE.node(TABLE.mk_obs(Universe(SPACE)))[0] == TT
 
 
 def test_hash_consing_shares_ids():
@@ -69,10 +70,11 @@ def test_hash_consing_shares_ids():
 
 
 def test_size_examples():
-    assert TABLE.size(TABLE.mk_obs(obs_pred(1)), INPUTS) == 2  # itself and tt
-    assert TABLE.size(TABLE.tt(SPACE), INPUTS) == 1
+    # itself and tt
+    assert len(TABLE.reachable(TABLE.mk_obs(obs_pred(1)), INPUTS)) == 2
+    assert len(TABLE.reachable(TABLE.tt(SPACE), INPUTS)) == 1
     g = TABLE.mk_always(TABLE.mk_obs(obs_pred(1)), IPRED)
-    assert TABLE.size(g, INPUTS) == 1
+    assert len(TABLE.reachable(g, INPUTS)) == 1
 
 
 def test_closed_and_guarded():

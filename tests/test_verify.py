@@ -660,11 +660,27 @@ def searched_check_many(system, x0, props, kb, cfg, max_pairs):
 # under the first two
 @settings(max_examples=300, deadline=None)
 @given(systems_and_properties(), st.sampled_from((IMAGE, BOTH, LITERAL)),
-       st.booleans(), st.sampled_from((3, 10, DEFAULT_MAX_PAIRS)))
-def test_check_many_walk_agrees_with_search(case, mode, implied, max_pairs):
+       st.data(), st.sampled_from((3, 10, DEFAULT_MAX_PAIRS)))
+def test_check_many_walk_agrees_with_search(case, mode, data, max_pairs):
+    # The implication relation is none, the similarity of the formulae
+    # or a part of it, and the knowledge starts with drawn pairs of
+    # states and formulae of the runs, confirmed or failing: runs then
+    # meet committed implicants and known failures of implied formulae
+    # at states the walk reaches and at states it does not.  Walk and
+    # search consult the same knowledge, so they agree whether or not
+    # it is true.
     system, starts, props = case
-    implication = (formula_similarity([p.body for p in props], system.inputs)
-                   if implied else None)
+    similar = sorted(formula_similarity([p.body for p in props],
+                                        system.inputs))
+    implication = data.draw(st.one_of(
+        st.none(), st.just(similar),
+        st.lists(st.sampled_from(similar), unique=True)), label="implication")
+    formulae = sorted(set().union(*(TABLE.reachable(p.body, system.inputs)
+                                    for p in props)))
+    pairs = st.tuples(st.integers(0, system.size - 1),
+                      st.sampled_from(formulae))
+    known_R = data.draw(st.sets(pairs, max_size=6), label="R")
+    known_F = data.draw(st.sets(pairs, max_size=4), label="F") - known_R
     cfg = ClosureConfig(implication=implication, failure_mode=mode)
 
     def show(results):
@@ -672,7 +688,8 @@ def test_check_many_walk_agrees_with_search(case, mode, implied, max_pairs):
                  v.stats.pairs_explored, v.stats.closure_hits,
                  v.stats.subset_checks) for p, v in results]
 
-    kb_walk, kb_search = KnowledgeBase(), KnowledgeBase()
+    kb_walk = KnowledgeBase(known_R, known_F)
+    kb_search = KnowledgeBase(known_R, known_F)
     for x0 in starts:  # the second call meets the first one's knowledge
         walked, kb_walk, _ = check_many(system, x0, props, kb_walk, cfg,
                                         max_pairs=max_pairs)
