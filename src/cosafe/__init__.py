@@ -6,7 +6,7 @@ from .attacker import (Attack, Attacker, CapabilityReport, apply_attack,
 from .closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
                       REFLECTING, AlgebraicOperator, ClosureConfig,
                       ClosureEngine, KnowledgeBase)
-from .coalgebra import System, behaviour_prefix, behaviour_system, iterate
+from .coalgebra import System, behaviour_system, iterate
 from .formula import (ASSERT, REFUTE, TABLE, FormulaTable, Property,
                       formula_similarity)
 from .predicate import (BoolSpace, Complement, Empty, FiniteSet, FiniteSpace,

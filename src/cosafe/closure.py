@@ -184,6 +184,9 @@ class ClosureConfig:
                  failure_mode=BOTH, table=TABLE):
         if depth < 0:
             raise ValueError("depth must be >= 0")
+        if failure_mode not in (LITERAL, IMAGE, BOTH):
+            raise ValueError("failure_mode must be %s, %s or %s, not %r"
+                             % (LITERAL, IMAGE, BOTH, failure_mode))
         self.operators = tuple(operators)
         self.depth = depth
         self.implication = frozenset(implication or ())

@@ -1,6 +1,7 @@
 """Systems as coalgebras: an observation map into values plus an
-input-indexed transition map, with finite behaviour prefixes and the
-quotient by them, built by bounded partition refinement.
+input-indexed transition map; the one lazy walk of their reachable
+states; and their quotient by behaviour prefixes, built by bounded
+partition refinement.
 
 A System is deliberately opaque to the verification engine: states only
 need to be hashable and equality-comparable, `observe_value` returns the
@@ -9,8 +10,6 @@ total on the input alphabet for every reachable state.
 """
 
 from operator import attrgetter
-
-from .predicate import FiniteSet
 
 
 class UnknownInput(ValueError):
@@ -21,8 +20,7 @@ class System:
     """A system (X, observe_value, step) over a finite input alphabet.
 
     `observe_value(x)` is the observation of x, a value of
-    `observation_space`; `observe(x)` gives it as a predicate, the
-    singleton of that value.  `successors`, when available, returns all
+    `observation_space`.  `successors`, when available, returns all
     successor states of x in input order with a single call; the
     verifier uses it as a fast path.
     """
@@ -38,10 +36,6 @@ class System:
         if successors is not None:
             # shadow the method with the provided callable (hot path)
             self.successors = successors
-
-    def observe(self, x):
-        return FiniteSet(self.observation_space,
-                         frozenset((self.observe_value(x),)))
 
     def successors(self, x):
         step = self.step
@@ -60,52 +54,132 @@ def iterate(sys, x, w):
     return x
 
 
-class BehaviourPrefix:
-    """The observable behaviour of a state truncated at depth k: a map
-    from every input sequence of length <= k to an observation predicate."""
+class Walk:
+    """The states reachable from the roots, each with its value, listed
+    only as far as a caller has asked (`find`).
 
-    def __init__(self, k, entries):
-        self.k = k
-        self.entries = dict(entries)
-        self._key = (k, frozenset(self.entries.items()))
+    The order is the search loop's pop order: pop the last pushed state,
+    then push each successor not seen before, in input order; `succ`
+    holds each expanded state's successors.  A root added later goes
+    under everything pushed.  With one input the walk is a path from
+    each root to the first state seen before, stepped with `step`, with
+    no stack and no `succ`.
 
-    def __getitem__(self, w):
-        return self.entries[tuple(w)]
+    A state's successors are taken only when the state after it is
+    asked for, so a `find` that stops at a state has stepped exactly the
+    states listed before it.  A step or an observation is recorded only
+    once it has returned, so a system that raises leaves the listing as
+    it was, and a retry steps no state twice."""
 
-    def __eq__(self, other):
-        return isinstance(other, BehaviourPrefix) and self._key == other._key
+    def __init__(self, sys, *roots):
+        self.sys = sys
+        self.states, self.values, self.succ = [], [], []
+        self.seen = set()
+        self._todo = []  # seen, not listed yet
+        # the last listed state, while its successors are not taken
+        self._unexpanded = None
+        for x in roots:
+            self.add_root(x)
 
-    def __hash__(self):
-        return hash(self._key)
+    def add_root(self, x):
+        """List the states reachable from x too, after all the states
+        reachable from the roots added before."""
+        if x not in self.seen:
+            self.seen.add(x)
+            self._todo.insert(0, x)
 
-    def __repr__(self):
-        return "BehaviourPrefix(k=%d, %d entries)" % (self.k, len(self.entries))
+    def find(self, check, limit):
+        """The position of the first state whose value check rejects, or
+        of the state at position limit, listing states only as far as
+        needed; if neither comes before the walk ends, the number of
+        reachable states.  check.first_miss checks the listed ones."""
+        states, values = self.states, self.values
+        i = min(len(values), limit)
+        bad = check.first_miss(values, 0, i)
+        if bad is not None:
+            return bad
+        if i < len(values):
+            return i
+        if len(self.sys.inputs) == 1:
+            return self._find_on_path(check, limit, i)
+        todo, seen, succ = self._todo, self.seen, self.succ
+        successors, observe = self.sys.successors, self.sys.observe_value
+        x = self._unexpanded
+        try:
+            while True:
+                if x is not None:
+                    row = successors(x)
+                    succ.append(row)
+                    for y in row:
+                        if y not in seen:
+                            seen.add(y)
+                            todo.append(y)
+                    x = None
+                if not todo:
+                    return i
+                o = observe(todo[-1])
+                x = todo.pop()
+                values.append(o)
+                states.append(x)
+                if i == limit or not check(o):
+                    return i
+                i += 1
+        finally:
+            self._unexpanded = x
+
+    def _find_on_path(self, check, limit, i):
+        """find past the listed states of a one-input walk, from the i-th
+        on.  Its todo holds the roots not listed yet and, on top, a
+        stepped state whose observation raised."""
+        seen, todo = self.seen, self._todo
+        list_state, list_value, mark_seen = (self.states.append,
+                                             self.values.append, seen.add)
+        step, observe = self.sys.step, self.sys.observe_value
+        (a,) = self.sys.inputs
+        x = self._unexpanded
+        y = None
+        try:
+            while True:
+                if y is None:
+                    if x is None:  # between paths: the next root
+                        if not todo:
+                            return i
+                        y = todo.pop()
+                    else:
+                        y = step(x, a)
+                        if y in seen:  # the path closes
+                            x = y = None
+                            continue
+                        mark_seen(y)
+                o = observe(y)
+                x, y = y, None
+                list_value(o)
+                list_state(x)
+                if i == limit or not check(o):
+                    return i
+                i += 1
+        finally:
+            if y is not None:  # its observation raised; x is stepped
+                todo.append(y)
+                x = None
+            self._unexpanded = x
 
 
-def behaviour_prefix(sys, x, k):
-    """Depth-k truncation of the observable behaviour of x."""
-    if k < 0:
-        raise ValueError("depth must be >= 0")
-    entries = {}
-    frontier = [((), x)]
-    entries[()] = sys.observe(x)
-    for _ in range(k):
-        nxt = []
-        for w, y in frontier:
-            for i in sys.inputs:
-                y2 = sys.step(y, i)
-                w2 = w + (i,)
-                entries[w2] = sys.observe(y2)
-                nxt.append((w2, y2))
-        frontier = nxt
-    return BehaviourPrefix(k, entries)
+def _everything(value):
+    return True
+
+
+_everything.first_miss = lambda values, start, stop: None
 
 
 class _BehaviourState:
     """A state of a behaviour system: one block of its partition of the
     listed base states.  `pid` is the block's id, `value` its
-    observation, and `rep` the first listed base state of the block,
-    whose transitions it inherits.
+    observation, and `rep` the first state the walk lists in the block,
+    whose transitions it inherits.  In a quotient that is not exact the
+    block's states may behave differently beyond depth k, so the walk's
+    order can change a verdict on the quotient; `exact` False says that
+    such a verdict need not transfer.
 
     A behaviour system makes one state object per block, so equality is
     identity: two states of one system are equal exactly when their base
@@ -124,40 +198,40 @@ class _BehaviourState:
         return "BehaviourState(%r)" % (self.rep,)
 
 
-def _refine(values, succ, k):
-    """Bounded Moore refinement of states 0..n-1 with observations
-    `values` and successor positions `succ` (a successor-closed set).
-    The first partition is by observation; each round splits blocks by
-    (block, the successors' blocks), so after d rounds the blocks are
-    the depth-d prefix classes.  Returns the block id of each state
+def _refine(states, values, succ, k):
+    """Bounded Moore refinement of `states`, with observations `values`
+    and successors `succ` (a successor-closed set).  The first
+    partition is by observation; each round splits blocks by (block,
+    the successors' blocks), so after d rounds the blocks are the
+    depth-d prefix classes.  Returns a dict of each state's block id
     after at most k rounds, and whether that partition is stable: one
     more round would split no block."""
     ids = {}
-    block = [ids.setdefault(v, len(ids)) for v in values]
+    block = dict(zip(states, [ids.setdefault(v, len(ids)) for v in values]))
     for depth in range(k + 1):
         count = len(ids)
         ids = {}
         get = block.__getitem__
-        refined = [ids.setdefault((b, *map(get, row)), len(ids))
-                   for b, row in zip(block, succ)]
+        refined = [ids.setdefault((get(x), *map(get, row)), len(ids))
+                   for x, row in zip(states, succ)]
         if len(ids) == count:
             return block, True
         if depth == k:
             return block, False
-        block = refined
+        block = dict(zip(states, refined))
 
 
 def behaviour_system(sys, k):
     """The quotient of `sys` by depth-k behaviour prefixes: its states
     are the classes of base states whose prefixes up to depth k agree.
 
-    The first `wrap(x)` lists every base state reachable from x, so that
-    part of `sys` must be finite, and partitions the list by at most k
-    rounds of Moore refinement (`_refine`).  A later `wrap(y)` on a
-    state not listed yet lists what it reaches and refines the whole
-    list again; states wrapped before keep their objects and pids.  If
-    the base system raises while a `wrap` lists states, the behaviour
-    system is left as it was.
+    The first `wrap(x)` lists every base state reachable from x with a
+    `Walk`, so that part of `sys` must be finite, and partitions the
+    list by at most k rounds of Moore refinement (`_refine`).  A later
+    `wrap(y)` on a state not wrapped yet adds y as a root of the walk
+    and refines the whole list again; states wrapped before keep their
+    objects and pids.  If the base system raises during a `wrap`, no
+    state is wrapped anew and `exact` is unchanged.
 
     `exact` tells whether refinement reached its fixpoint within k
     rounds on what is listed so far (vacuously True before the first
@@ -167,65 +241,40 @@ def behaviour_system(sys, k):
     the number of listed states minus 1 always gives that; k of the
     diameter plus 1 need not.  Otherwise two states in one class may
     still behave differently, and a verdict need not transfer.  A
-    behaviour state observes its base state's value.
-    `behaviour_prefix` is the reference semantics."""
+    behaviour state observes its base state's value."""
     if k < 0:
         raise ValueError("depth must be >= 0")
-    base_value = sys.observe_value
     base_step = sys.step
-    base_successors = sys.successors
-    index = {}    # listed base state -> its position in the list
-    values = []   # by position: the observation
-    succ = []     # by position: the successors' positions, in input order
-    states = []   # by pid: the behaviour state
-    by_x = {}     # listed base state -> its behaviour state
-
-    def extend(x):
-        # list and refine in locals, and commit only once nothing is left
-        # that can raise
-        start = len(values)
-        fresh = {x: start}
-        order = [x]
-        new_values = []
-        new_succ = []
-        for y in order:  # order grows as the loop finds new states
-            new_values.append(base_value(y))
-            row = []
-            for z in base_successors(y):
-                p = index.get(z)
-                if p is None:
-                    p = fresh.get(z)
-                    if p is None:
-                        p = fresh[z] = start + len(order)
-                        order.append(z)
-                row.append(p)
-            new_succ.append(row)
-        block, exact = _refine(values + new_values, succ + new_succ, k)
-        # each block that holds listed states is one earlier block,
-        # since depth-k classes do not depend on what else is listed
-        owner = {block[index[st.rep]]: st for st in states}
-        born = []
-        placed = {}
-        for p, y in enumerate(order, start):
-            st = owner.get(block[p])
-            if st is None:
-                st = owner[block[p]] = _BehaviourState(
-                    len(states) + len(born), new_values[p - start], y)
-                born.append(st)
-            placed[y] = st
-        index.update(fresh)
-        values.extend(new_values)
-        succ.extend(new_succ)
-        states.extend(born)
-        by_x.update(placed)
-        wrapped.exact = exact
+    walk = Walk(sys)
+    listed = walk.states
+    # by position: each listed state's successors, in input order; a
+    # one-input walk keeps none
+    several = len(sys.inputs) > 1
+    succ = walk.succ if several else []
+    states = []  # by pid: the behaviour state
+    by_x = {}    # wrapped base state -> its behaviour state
 
     def wrap(x):
         st = by_x.get(x)
-        if st is None:
-            extend(x)
-            st = by_x[x]
-        return st
+        if st is not None:
+            return st
+        walk.add_root(x)
+        walk.find(_everything, float("inf"))
+        if not several:
+            succ.extend(map(sys.successors, listed[len(succ):]))
+        # from here on nothing can raise
+        block, wrapped.exact = _refine(listed, walk.values, succ, k)
+        # each block that holds wrapped states is one earlier block,
+        # since depth-k classes do not depend on what else is listed
+        owner = {block[st.rep]: st for st in states}
+        start = len(by_x)
+        for y, value in zip(listed[start:], walk.values[start:]):
+            st = owner.get(block[y])
+            if st is None:
+                st = owner[block[y]] = _BehaviourState(len(states), value, y)
+                states.append(st)
+            by_x[y] = st
+        return by_x[x]
 
     def step(st, i):
         return wrap(base_step(st.rep, i))

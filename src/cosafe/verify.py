@@ -17,40 +17,32 @@ failure it is discarded and only the direct counterexample persists --
 so failing properties re-explore states across runs, which is exactly
 what the exploration statistics measure.
 
-check_many explores each system once.  Its runs share one walk: the
-states reachable from x0 in the loop's own pop order, each with its
-observation, listed lazily and extended only when a run scans past its
-end.  With one input (SWaT, its attacked systems, the dial) the walk is
-a path, x0, step(x0), ... up to the first repeat, and it is stepped with
-sys.step directly, with no stack and no successors tuple.  A run scans
-the walk instead of searching when no knowledge can steer it: its nodes
-are bare states, no failing node is known, the literal failure check is
-off, no tentative closure applies, and no implicant of the formula is
-committed anywhere.  verify decides this first, from the formula's
-reachable set and the closure engine's indexes, and builds nothing of
-the search (compiled checks of every formula, successor obligations,
-the failing set, the closure of tentative pairs) unless it searches; a
-scan compiles only the formula's own check.  Under those conditions the
-loop skips nothing and pushes every unseen successor in input order, so
-it would pop exactly the walk's states; the scan therefore gives the loop's verdict and
-counters (Fails at the first bad observation with its position as pairs
-explored, Holds after the whole walk, Unknown past the budget) and
-commits the same pairs.  A scanned Holds commits them as one fact, the
-formula holds at every state reachable from x0: the knowledge base
-merges the walk's state set into the formula's
-(KnowledgeBase.commit_all), and the closure engine keeps the set whole
-(ClosureEngine.note_satisfied_everywhere).
+check_many explores each system once: its runs share one
+coalgebra.Walk, the states reachable from x0 in the loop's own pop
+order.  A run scans the walk instead of searching when no knowledge can
+steer it: its nodes are bare states, no failing node is known, the
+literal failure check is off, no tentative closure applies, and no
+implicant of the formula is committed anywhere.  verify decides this
+first, from the formula's reachable set and the closure engine's
+indexes, and builds nothing of the search unless it searches.  Under
+those conditions the loop skips nothing and pushes every unseen
+successor in input order, so it would pop exactly the walk's states;
+the scan therefore gives the loop's verdict and counters (Fails at the
+first bad observation with its position as pairs explored, Holds after
+the whole walk, Unknown past the budget) and commits the same pairs.  A
+scanned Holds commits them as one fact, the formula holds at every
+state reachable from x0 (KnowledgeBase.commit_all,
+ClosureEngine.note_satisfied_everywhere).
 
 Every observation check, in a search or a scan, is the function that
 predicate.member_fn compiles from the formula's observation predicate,
-applied to the state's value.  A scan checks the states already listed
-with that function's first_miss loop, so no state costs a Python call.
-Direct calls of verify always search.
+applied to the state's value.  Direct calls of verify always search.
 """
 
 from dataclasses import dataclass, field
 
 from .closure import BOTH, IMAGE, LITERAL, ClosureEngine, _op_chains
+from .coalgebra import Walk
 from .formula import ASSERT
 from .predicate import member_fn
 
@@ -87,106 +79,6 @@ class Verdict:
         return self.outcome in (INFERRED_HOLDS, INFERRED_FAILS)
 
 
-class _Walk:
-    """The states reachable from x0 in the search loop's pop order, each
-    with its observation, listed only as far as some run has asked.
-
-    It is the loop's own depth-first order: pop the last pushed state,
-    then push each successor not seen before, in input order.  With one
-    input every state has one successor, so the order is the path x0,
-    step(x0), ... up to the first repeat, and the walk steps along it
-    with no stack.  A state's successors are taken only when the state
-    after it is asked for, so a run that stops at the k-th state has
-    stepped the same k - 1 states as the loop would.  The walk records a
-    step or an observation only once it has returned, so a system that
-    raises leaves the walk as it was, and a retry steps no state
-    twice."""
-
-    def __init__(self, sys, x0):
-        self.observe = sys.observe_value
-        self.successors = sys.successors
-        self.step = sys.step
-        self.inputs = sys.inputs
-        self.states = []
-        self.obs = []
-        self.seen = {x0}
-        self._todo = [x0]  # seen, not listed yet
-        # the last listed state, while its successors are not taken
-        self._unexpanded = None
-
-    def scan(self, check, max_pairs):
-        """What the search loop gives on bare states when no knowledge
-        can steer it: (outcome, pairs explored, failing state).  The
-        states already listed are checked by check.first_miss."""
-        states, obs = self.states, self.obs
-        i = min(len(obs), max_pairs)
-        bad = check.first_miss(obs, 0, i)
-        if bad is not None:
-            return FAILS, bad + 1, states[bad]
-        if i < len(obs):
-            return UNKNOWN, i + 1, None
-        if len(self.inputs) == 1:
-            return self._list_path(check, max_pairs, i)
-        todo, seen = self._todo, self.seen
-        successors, observe = self.successors, self.observe
-        x = self._unexpanded
-        try:
-            while True:
-                if x is not None:
-                    for y in successors(x):
-                        if y not in seen:
-                            seen.add(y)
-                            todo.append(y)
-                    x = None
-                if not todo:
-                    return HOLDS, i, None
-                o = observe(todo[-1])
-                x = todo.pop()
-                obs.append(o)
-                states.append(x)
-                if i == max_pairs:
-                    return UNKNOWN, i + 1, None
-                if not check(o):
-                    return FAILS, i + 1, x
-                i += 1
-        finally:
-            self._unexpanded = x
-
-    def _list_path(self, check, max_pairs, i):
-        """scan past the listed states of a one-input walk, from the
-        i-th on.  Its todo holds at most one state: x0 before it is
-        listed, or a stepped state whose observation raised."""
-        states, obs, seen, todo = self.states, self.obs, self.seen, self._todo
-        list_state, list_obs, mark_seen = states.append, obs.append, seen.add
-        step, observe = self.step, self.observe
-        (a,) = self.inputs
-        x = self._unexpanded
-        y = todo.pop() if todo else None
-        try:
-            while True:
-                if y is None:
-                    if x is None:
-                        return HOLDS, i, None
-                    y = step(x, a)
-                    if y in seen:  # the path closes: the walk is whole
-                        x = y = None
-                        return HOLDS, i, None
-                    mark_seen(y)
-                o = observe(y)
-                x, y = y, None
-                list_obs(o)
-                list_state(x)
-                if i == max_pairs:
-                    return UNKNOWN, i + 1, None
-                if not check(o):
-                    return FAILS, i + 1, x
-                i += 1
-        finally:
-            self._unexpanded = x
-            if y is not None:
-                todo.append(y)
-
-
 def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
            *, _walk=None):
     """Decide (sys, x0) |= psi0 under the given knowledge and closure
@@ -221,14 +113,14 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
             engine.fail_index.keys().isdisjoint(cfg.implied_by(psi0))
         if (not failed and implicants.isdisjoint(engine.sat_formulae)
                 and not _tentative_ops(cfg, reach, implicants)):
-            outcome, explored, bad = _walk.scan(member_fn(table.obs(psi0)),
-                                                max_pairs)
-            counterexample = (bad, psi0) if outcome == FAILS else None
-            if outcome == HOLDS:  # so seen is every state reachable from x0
+            at = _walk.find(member_fn(table.obs(psi0)), max_pairs)
+            if at == len(_walk.states):  # seen is every reachable state
                 kb.commit_all(_walk.seen, psi0)
                 engine.note_satisfied_everywhere(_walk.seen, psi0)
-            return _conclude(kb, engine, outcome, counterexample, None,
-                             explored, 0, ())
+                return _conclude(kb, engine, HOLDS, None, None, at, 0, ())
+            bad = (_walk.states[at], psi0) if at < max_pairs else None
+            return _conclude(kb, engine, FAILS if bad else UNKNOWN, bad,
+                             None, at + 1, 0, ())
 
     implicants = {f: cfg.implicants_of(f) for f in reach}
     # each formula's observation check, compiled once
@@ -440,7 +332,7 @@ def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
     engine = ClosureEngine(cfg)
     engine.load(kb)
     # the states reachable from x0, explored once for every run below
-    walk = _Walk(sys, x0)
+    walk = Walk(sys, x0)
     results = []
     inferred = 0
     for prop in props:

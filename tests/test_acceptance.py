@@ -22,7 +22,7 @@ import pytest
 from cosafe.attacker import Attacker, capabilities, hierarchy
 from cosafe.closure import BOTH, EQUIVARIANT, IMAGE, LITERAL, \
     AlgebraicOperator, ClosureConfig, KnowledgeBase
-from cosafe.coalgebra import behaviour_prefix, behaviour_system
+from cosafe.coalgebra import behaviour_system
 from cosafe.formula import ASSERT, TABLE, Property, formula_similarity
 from cosafe.models import (attack_kinds, dial_eventually, dial_model,
                            lock_model, lock_operators, lock_properties,
@@ -30,6 +30,7 @@ from cosafe.models import (attack_kinds, dial_eventually, dial_model,
                            swat_attacks, swat_model, swat_properties)
 from cosafe.syntax import SyntaxContext, parse_property
 from cosafe.verify import check_many, check_property, order_properties, verify
+from prefixes import behaviour_prefix
 
 LOCK_OPERATOR_SETS = (
     ("shift",),

@@ -137,6 +137,15 @@ def test_knowledge_base_copy_is_independent():
     assert dup.F == {(3, 1), (6, 1)}
 
 
+def test_config_rejects_an_unknown_failure_mode():
+    for mode in (LITERAL, IMAGE, BOTH):
+        assert ClosureConfig(failure_mode=mode).failure_mode == mode
+    with pytest.raises(ValueError) as raised:
+        ClosureConfig(failure_mode="imgae")
+    for mode in (LITERAL, IMAGE, BOTH, "'imgae'"):
+        assert mode in str(raised.value)
+
+
 def test_infer_satisfied_through_operator_image(lock, lock_ops):
     f = neq_formula(lock, 1234)
     kb = KnowledgeBase(R=[(5678, f)])

@@ -1,9 +1,9 @@
 import pytest
 
-from cosafe.coalgebra import (System, UnknownInput, behaviour_prefix,
-                              behaviour_system, iterate)
+from cosafe.coalgebra import System, UnknownInput, behaviour_system, iterate
 from cosafe.models import dial_model, lock_model
 from cosafe.predicate import FiniteSpace
+from prefixes import behaviour_prefix
 
 
 def test_iterate_is_step_fold():
@@ -29,9 +29,9 @@ def test_successors_default_matches_step():
 def test_behaviour_prefix_entries():
     d = dial_model()
     p = behaviour_prefix(d, 3, 2)
-    assert p[()] == d.observe(3)
-    assert p[("*",)] == d.observe(4)
-    assert p[("*", "*")] == d.observe(5)
+    assert p[()] == 3
+    assert p[("*",)] == 4
+    assert p[("*", "*")] == 5
     assert len(p.entries) == 3
 
 
@@ -59,7 +59,7 @@ def test_behaviour_system_quotients_by_behaviour():
     # transitions commute with wrapping
     for x in range(10):
         assert b.step(b.wrap(x), "*") == b.wrap(d.step(x, "*"))
-        assert b.observe(b.wrap(x)) == d.observe(x)
+        assert b.observe_value(b.wrap(x)) == d.observe_value(x)
 
 
 def test_behaviour_system_identifies_equivalent_states():
@@ -103,8 +103,8 @@ def test_behaviour_system_lock_states_are_the_codes():
     b = behaviour_system(lock, 19)
     states = {b.wrap(code) for code in range(100)}
     assert len(states) == 100
-    assert {b.observe(st) for st in states} == \
-        {lock.observe(code) for code in range(100)}
+    assert {b.observe_value(st) for st in states} == \
+        {lock.observe_value(code) for code in range(100)}
 
 
 def test_behaviour_states_of_two_systems_never_equal():

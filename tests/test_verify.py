@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
                             AlgebraicOperator, ClosureConfig, ClosureEngine,
                             KnowledgeBase)
-from cosafe.coalgebra import System, behaviour_system
+from cosafe.coalgebra import System, Walk, behaviour_system
 from cosafe.formula import ASSERT, REFUTE, TABLE, Property, formula_similarity
 from cosafe.models import (dial_model, dial_eventually, lock_model,
                            lock_operators, lock_properties, puzzle_model,
@@ -13,7 +13,7 @@ from cosafe.predicate import (Complement, FiniteSet, FiniteSpace, Universe,
                               member, member_fn)
 from cosafe.syntax import SyntaxContext, print_formula
 from cosafe.verify import (DEFAULT_MAX_PAIRS, FAILS, HOLDS, INFERRED_FAILS,
-                           INFERRED_HOLDS, UNKNOWN, Stats, Verdict, _Walk,
+                           INFERRED_HOLDS, UNKNOWN, Stats, Verdict,
                            _property_verdict, check_many, check_property,
                            order_properties, verify)
 
@@ -84,8 +84,7 @@ def brute_force_holds(sys, states, x0, psi):
         changed = False
         for (x, f) in sorted(rel, key=repr):
             allowed = TABLE.obs(f)
-            ok = all(member(allowed, v)
-                     for v in sys.observe(x).values) and all(
+            ok = member(allowed, sys.observe_value(x)) and all(
                 (sys.step(x, i), TABLE.next(f, i)) in rel
                 for i in sys.inputs)
             if not ok:
@@ -547,8 +546,8 @@ def flaky(base, fail_at, where, on_raise=None):
 def test_walk_unchanged_when_the_system_raises(model, first, fail, second,
                                                where):
     base = dial_model() if model == "dial" else lock_model(2)
-    everything = _Walk(base, 0)
-    everything.scan(member_fn(Universe(base.observation_space)),
+    everything = Walk(base, 0)
+    everything.find(member_fn(Universe(base.observation_space)),
                     DEFAULT_MAX_PAIRS)
     order = everything.states
     props = [Property("first", ASSERT, neq_body(base, order[first])),
@@ -558,12 +557,13 @@ def test_walk_unchanged_when_the_system_raises(model, first, fail, second,
     expect, _, _ = check_many(fresh_system, 0, props, *fresh())
 
     def state():
-        return list(walk.states), list(walk.obs), set(walk.seen)
+        return (list(walk.states), list(walk.values), set(walk.seen),
+                list(walk.succ))
 
     before = []
     system, stepped = flaky(base, order[fail], where,
                             lambda: before.append(state()))
-    walk = _Walk(system, 0)
+    walk = Walk(system, 0)
     kb, cfg = fresh()
     engine = ClosureEngine(cfg)
     got = [verify(system, 0, props[0].body, kb, cfg, engine=engine,
@@ -805,21 +805,22 @@ def test_behaviour_system_tells_whether_its_quotient_is_exact():
 
 @pytest.mark.parametrize("where", ("step", "observe"))
 def test_behaviour_system_unchanged_when_the_system_raises(where):
-    # a 6-ring showing True every third state, and a 4-ring (states 6-9)
-    # showing True at 6 only: at depth 2 state 6 joins the class of 0,
-    # and 7 starts a new one, so the list of the 6-ring is exact and
-    # the list of both is not
-    succ = (1, 2, 3, 4, 5, 0, 7, 8, 9, 6)
-    base = System("two rings", ("*",), lambda x: x in (0, 3, 6),
+    # a 6-ring showing True every third state, a 4-ring (states 6-9)
+    # showing True at 6 and 9, and a 2-ring (10-11) showing True only.
+    # At depth 2 states 6 and 7 join the classes of 0 and 1, 8, 9 and
+    # the 2-ring make three new ones, and 7 splits from 1 at depth 3,
+    # so the list of the 6-ring is exact and the list of all is not
+    succ = (1, 2, 3, 4, 5, 0, 7, 8, 9, 6, 11, 10)
+    base = System("three rings", ("*",), lambda x: x in (0, 3, 6, 9, 10, 11),
                   lambda x, i: succ[x],
                   observation_space=FiniteSpace(frozenset((False, True))))
     base.input_pred = Universe(FiniteSpace(frozenset(base.inputs)))
     fresh_system, _ = flaky(base, None, where)
     expect = behaviour_system(fresh_system, 2)
-    expect.wrap(0)
-    expect.wrap(6)
+    for x in (0, 6, 10):
+        expect.wrap(x)
 
-    system, _ = flaky(base, 8, where, lambda: None)
+    system, _ = flaky(base, 7, where, lambda: None)
     behaviour = behaviour_system(system, 2)
     first = {x: behaviour.wrap(x) for x in range(6)}
     assert behaviour.exact
@@ -832,9 +833,11 @@ def test_behaviour_system_unchanged_when_the_system_raises(where):
     with pytest.raises(RuntimeError):
         behaviour.wrap(6)
     assert state() == before
-    # retried, the wrap lists what a fresh system lists, and gives the
-    # same classes and pids
+    # the walk holds the 4-ring partly listed, and lists the rest of it
+    # before the 2-ring: the classes and pids are those of a fresh
+    # system that wrapped 6 before 10
+    behaviour.wrap(10)
     assert behaviour.wrap(6) is first[0]
-    assert [behaviour.wrap(x).pid for x in range(10)] == \
-        [expect.wrap(x).pid for x in range(10)]
+    assert [behaviour.wrap(x).pid for x in range(12)] == \
+        [expect.wrap(x).pid for x in range(12)]
     assert behaviour.exact is expect.exact is False
