@@ -13,8 +13,9 @@ are partially ordered by inclusion of capability sets.
 
 import json
 
+from .closure import KnowledgeBase
 from .coalgebra import System
-from .verify import UNKNOWN, check_many
+from .verify import DEFAULT_MAX_PAIRS, UNKNOWN, check_many
 
 LESS_CAPABLE = "LessCapable"
 MORE_CAPABLE = "MoreCapable"
@@ -101,23 +102,17 @@ class CapabilityReport:
         }
 
 
-def capabilities(attacker, sys, x0, props, cfg, kb_factory=None,
-                 max_pairs=None):
+def capabilities(attacker, sys, x0, props, cfg, max_pairs=DEFAULT_MAX_PAIRS):
     """Verify every property on every attacked system and collect the
     violated ones.  Knowledge is reused across properties within one
     attacked system but never across different attacked systems (R/F
     entries are statements about one transition structure)."""
-    from .closure import KnowledgeBase
-    from .verify import DEFAULT_MAX_PAIRS
-    if max_pairs is None:
-        max_pairs = DEFAULT_MAX_PAIRS
     matrix = {}
     violated = set()
     undetermined = set()
     for attack in attacker.attacks:
         attacked = apply_attack(sys, attack)
-        kb = kb_factory() if kb_factory else KnowledgeBase()
-        results, _, _ = check_many(attacked, x0, props, kb, cfg,
+        results, _, _ = check_many(attacked, x0, props, KnowledgeBase(), cfg,
                                    max_pairs=max_pairs)
         row = {}
         for prop, verdict in results:

@@ -18,7 +18,7 @@ from . import models
 from .attacker import (Attacker, capabilities, hasse_dot, hierarchy,
                        reports_json)
 from .closure import BOTH, IMAGE, LITERAL, ClosureConfig, KnowledgeBase
-from .formula import TABLE, formula_similarity
+from .formula import formula_similarity
 from .syntax import FormulaSyntaxError, SyntaxContext, parse_property
 from .verify import DEFAULT_MAX_PAIRS, UNKNOWN, check_many
 
@@ -51,8 +51,7 @@ def _write(args, text):
 
 
 def _closure_kwargs(args):
-    return dict(depth=args.closure_depth, failure_mode=args.failure_inference,
-                table=TABLE)
+    return dict(depth=args.closure_depth, failure_mode=args.failure_inference)
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,12 @@ class AlgebraicOperator:
     that formula."""
 
     def __init__(self, name, state_map, obs_value_map, direction,
-                 bijective=True, table=TABLE, input_map=None):
+                 bijective=True, input_map=None):
         self.name = name
         self.state_map = state_map
         self.obs_value_map = obs_value_map
         self.direction = direction
         self.bijective = bijective
-        self.table = table
         self.input_map = input_map
         self._fmap_cache = {}
 
@@ -89,22 +88,21 @@ class AlgebraicOperator:
         out = self._fmap_cache.get(fid)
         if out is not None:
             return out
-        t = self.table
-        node = t.node(fid)
+        node = TABLE.node(fid)
         tag = node[0]
         if tag == "tt":
             out = fid
         elif tag == "var":
             out = fid
         elif tag == "obs":
-            out = t.mk_obs(self.image_pred(node[1]))
+            out = TABLE.mk_obs(self.image_pred(node[1]))
         elif tag == "box":
-            out = t.mk_box(self.image_inputs(node[1]),
-                           self.map_formula(node[2]))
+            out = TABLE.mk_box(self.image_inputs(node[1]),
+                               self.map_formula(node[2]))
         elif tag == "and":
-            out = t.mk_and([self.map_formula(f) for f in node[1]])
+            out = TABLE.mk_and([self.map_formula(f) for f in node[1]])
         elif tag == "nu":
-            out = t.mk_nu(self.map_formula(node[1]))
+            out = TABLE.mk_nu(self.map_formula(node[1]))
         else:
             raise ValueError(tag)
         self._fmap_cache[fid] = out
@@ -124,8 +122,8 @@ class KnowledgeBase:
     R is kept by formula: sat[f] is the set of states where f is
     confirmed, so committing a whole set of states for one formula is
     one set merge that builds no pairs.  Write R through commit and
-    commit_all; the R property gives it as a set of (state, formula)
-    pairs."""
+    commit_all, or through a ClosureEngine that has loaded the knowledge
+    base; the R property gives it as a set of (state, formula) pairs."""
 
     def __init__(self, R=(), F=()):
         self.sat = {}
@@ -155,11 +153,6 @@ class KnowledgeBase:
         else:
             xs.update(states)
 
-    def copy(self):
-        kb = KnowledgeBase(F=self.F)
-        kb.sat = {f: set(xs) for f, xs in self.sat.items()}
-        return kb
-
     def __repr__(self):
         return "KnowledgeBase(|R|=%d, |F|=%d)" % (
             sum(map(len, self.sat.values())), len(self.F))
@@ -181,7 +174,7 @@ class ClosureConfig:
     """
 
     def __init__(self, operators=(), depth=1, implication=None,
-                 failure_mode=BOTH, table=TABLE):
+                 failure_mode=BOTH):
         if depth < 0:
             raise ValueError("depth must be >= 0")
         if failure_mode not in (LITERAL, IMAGE, BOTH):
@@ -191,7 +184,6 @@ class ClosureConfig:
         self.depth = depth
         self.implication = frozenset(implication or ())
         self.failure_mode = failure_mode
-        self.table = table
         self._implicants = None
         self._implied = None
 
@@ -250,27 +242,27 @@ def _op_chains(pair, ops, depth):
 
 
 class ClosureEngine:
-    """Incremental index of the closure of R and F.
+    """Incremental index of the closure of a KnowledgeBase's R and F.
 
-    sat_index maps state -> formula ids known satisfied there (including
-    images under preserving operators), sat_everywhere formula id ->
-    the state sets noted whole as satisfying it, and fail_index formula
-    id -> states where it is known to fail (including images under
-    reflecting operators).  Queries then only consult implication
-    variants.  sat_formulae is every formula id satisfied somewhere.
-    literal_ops are the preserving operators the literal failure check
-    applies to a query: all of them in literal mode, and otherwise those
-    the image direction does not already use.  Literal mode reads only
-    raw_F, so there fail_index holds the failing pairs alone, without
-    their images."""
+    load adopts the knowledge base: the engine reads its sat and F
+    directly, and the note_ methods write each fact to it once.  The
+    engine keeps only what the knowledge base does not: sat_index maps
+    state -> formula ids satisfied there as images of R's pairs under
+    preserving operators, sat_formulae is every formula id of such an
+    image, and fail_index maps formula id -> states where it fails, F's
+    pairs and their images under reflecting operators.  Queries then
+    only consult implication variants.  literal_ops are the preserving
+    operators the literal failure check applies to a query: all of them
+    in literal mode, and otherwise those the image direction does not
+    already use.  Literal mode reads only F, so there fail_index holds
+    the failing pairs alone, without their images."""
 
     def __init__(self, cfg):
         self.cfg = cfg
+        self.kb = None
         self.sat_index = {}
-        self.sat_everywhere = {}
         self.sat_formulae = set()
         self.fail_index = {}
-        self.raw_F = set()
         literal = cfg.failure_mode == LITERAL
         self._sat_ops = tuple(op for op in cfg.operators if op.preserves())
         self._fail_ops = () if literal else tuple(
@@ -279,16 +271,17 @@ class ClosureEngine:
             op for op in self._sat_ops if literal or not op.reflects())
 
     def load(self, kb):
-        for f, xs in kb.sat.items():
-            self.note_satisfied_everywhere(set(xs), f)
-        for pair in kb.F:
-            self.note_failed(pair)
-
-    def note_satisfied(self, pair):
-        pairs = (pair,)
+        """Adopt kb and index the images of its pairs."""
+        self.kb = kb
         if self._sat_ops:
-            pairs = (pair, *_op_chains(pair, self._sat_ops, self.cfg.depth))
-        for (x, f) in pairs:
+            for f, xs in kb.sat.items():
+                for x in xs:
+                    self._index_satisfied((x, f))
+        for pair in kb.F:
+            self._index_failed(pair)
+
+    def _index_satisfied(self, pair):
+        for (x, f) in _op_chains(pair, self._sat_ops, self.cfg.depth):
             have = self.sat_index.get(x)
             if have is None:
                 self.sat_index[x] = {f}
@@ -296,18 +289,24 @@ class ClosureEngine:
                 have.add(f)
             self.sat_formulae.add(f)
 
+    def note_satisfied(self, pair):
+        self.kb.commit(*pair)
+        if self._sat_ops:
+            self._index_satisfied(pair)
+
     def note_satisfied_everywhere(self, states, f):
-        """Note f satisfied at every state of a set the caller no longer
-        changes: one fact, unless preserving operators need the images."""
+        """Note f satisfied at every state of an iterable of states: one
+        set merge, unless preserving operators need the images."""
+        self.kb.commit_all(states, f)
         if self._sat_ops:
             for x in states:
-                self.note_satisfied((x, f))
-        else:
-            self.sat_everywhere.setdefault(f, []).append(states)
-            self.sat_formulae.add(f)
+                self._index_satisfied((x, f))
 
     def note_failed(self, pair):
-        self.raw_F.add(pair)
+        self.kb.F.add(pair)
+        self._index_failed(pair)
+
+    def _index_failed(self, pair):
         index = self.fail_index
         x, f = pair
         states = index.get(f)
@@ -325,9 +324,8 @@ class ClosureEngine:
         have = self.sat_index.get(x)
         if have and not want.isdisjoint(have):
             return True
-        everywhere = self.sat_everywhere
-        return bool(everywhere) and any(
-            x in states for g in want for states in everywhere.get(g, ()))
+        sat = self.kb.sat
+        return any(x in sat[g] for g in want if g in sat)
 
     def fail_hit_image(self, pair):
         """Image direction: pair is an equivariant/reflecting image of a
@@ -344,7 +342,7 @@ class ClosureEngine:
         """Literal direction: the query, or its image under literal_ops,
         implies a pair known to fail -- a preserving operator maps a
         satisfying pair to a satisfying one, so the query fails too."""
-        F = self.raw_F
+        F = self.kb.F
         return bool(F) and any(
             (x, g) in F
             for x, f in (pair, *_op_chains(pair, self.literal_ops,
@@ -356,8 +354,8 @@ class ClosureEngine:
         if mode in (IMAGE, BOTH) and self.fail_hit_image(pair):
             return True
         # with no literal_ops the literal check looks up the query's
-        # implication variants in raw_F, and fail_index holds every pair
-        # of raw_F: it would find nothing fail_hit_image did not
+        # implication variants in F, and fail_index holds every pair of
+        # F: it would find nothing fail_hit_image did not
         if mode == IMAGE or mode == BOTH and not self.literal_ops:
             return False
         return self.fail_hit_literal(pair)

@@ -118,7 +118,7 @@ class FormulaTable:
                                             and self.is_guarded(fid))
         return out
 
-    def is_guarded(self, fid, guards=0):
+    def is_guarded(self, fid):
         """Every variable occurrence sits under at least one box below its binder."""
         node = self.node(fid)
         tag = node[0]
@@ -207,7 +207,7 @@ class FormulaTable:
             return self.space_of(node[1])
         return None  # var: the binder's body determines the space
 
-    def obs(self, fid, space=None):
+    def obs(self, fid):
         """Allowed observations of a closed, guarded formula."""
         out = self._obs_cache.get(fid)
         if out is not None:
@@ -275,20 +275,20 @@ class FormulaTable:
 TABLE = FormulaTable()
 
 
-def formula_similarity(formulas, inputs, table=TABLE):
+def formula_similarity(formulas, inputs):
     """The greatest simulation on the union of reachable formula sets:
     (f, g) in the result means f implies g.  Computed as a greatest
     fixpoint from the observation-inclusion pairs, pruning pairs whose
     successors fall outside the relation."""
     universe = set()
     for f in formulas:
-        universe |= table.reachable(f, inputs)
+        universe |= TABLE.reachable(f, inputs)
     universe = sorted(universe)
     rel = set()
     for f in universe:
         for g in universe:
             try:
-                if subset(table.obs(f), table.obs(g)):
+                if subset(TABLE.obs(f), TABLE.obs(g)):
                     rel.add((f, g))
             except Undecidable:
                 pass  # excluding a pair is always sound for a simulation
@@ -297,7 +297,7 @@ def formula_similarity(formulas, inputs, table=TABLE):
         changed = False
         for (f, g) in list(rel):
             for i in inputs:
-                if (table.next(f, i), table.next(g, i)) not in rel:
+                if (TABLE.next(f, i), TABLE.next(g, i)) not in rel:
                     rel.discard((f, g))
                     changed = True
                     break

@@ -26,12 +26,12 @@ def _value_space(n):
     return FiniteSpace(frozenset(range(n)))
 
 
-def _eventually(sys, n, name, table=TABLE):
+def _eventually(sys, n, name):
     """F <.= n> as Refute(G <. != n>): some input sequence makes the
     scalar observation read n."""
     space = sys.observation_space
-    body = table.mk_always(
-        table.mk_obs(Complement(space, FiniteSet(space, frozenset((n,))))),
+    body = TABLE.mk_always(
+        TABLE.mk_obs(Complement(space, FiniteSet(space, frozenset((n,))))),
         sys.input_pred)
     return Property(name, REFUTE, body)
 
@@ -52,9 +52,9 @@ def dial_model():
     return sys
 
 
-def dial_eventually(sys, n, table=TABLE):
+def dial_eventually(sys, n):
     """F <.= n>: the dial eventually shows n."""
-    return _eventually(sys, n, "F[.=%d]" % n, table)
+    return _eventually(sys, n, "F[.=%d]" % n)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +134,9 @@ def lock_operators(digits=4, names=None):
     return {m: ops[m] for m in names}
 
 
-def lock_properties(sys, table=TABLE):
+def lock_properties(sys):
     """[Refute(G <. != n>) for n ascending]: 'some input sequence shows n'."""
-    return [_eventually(sys, x, "F[.=%0*d]" % (sys.digits, x), table)
+    return [_eventually(sys, x, "F[.=%0*d]" % (sys.digits, x))
             for x in sorted(sys.observation_space.values)]
 
 
@@ -193,9 +193,9 @@ def puzzle_swap():
                              input_map={1: 2, 2: 1}.__getitem__)
 
 
-def puzzle_property(sys, n, table=TABLE):
+def puzzle_property(sys, n):
     """F <.= n>: the accumulator eventually shows n."""
-    return _eventually(sys, n, "F[.=%d]" % n, table)
+    return _eventually(sys, n, "F[.=%d]" % n)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def swat_model(params=None):
     return sys
 
 
-def swat_properties(sys, table=TABLE):
+def swat_properties(sys):
     """Hydro, Lvl, Hg, Con.  Hydro (pressure = g * level, enforced by
     physics) is bundled with Lvl into Lvl's proof obligation: it costs
     nothing extra and is exactly what lets Hg be implied."""
@@ -298,21 +298,19 @@ def swat_properties(sys, table=TABLE):
 
     line = space.components[0]
     hydro = LinearLink(space, src=0, dst=1, factor=p.g)
-    lvl = table.mk_and([
-        table.mk_obs(comp(0, Interval(line, p.level_lo_q, p.level_hi_q))),
-    ])
-    hg = table.mk_obs(comp(1, Interval(space.components[1],
+    lvl = TABLE.mk_obs(comp(0, Interval(line, p.level_lo_q, p.level_hi_q)))
+    hg = TABLE.mk_obs(comp(1, Interval(space.components[1],
                                        p.pressure_lo_q, p.pressure_hi_q)))
-    con = table.mk_obs(comp(2, FiniteSet(space.components[2],
+    con = TABLE.mk_obs(comp(2, FiniteSet(space.components[2],
                                          frozenset((True,)))))
-    hydro_f = table.mk_obs(hydro)
+    hydro_f = TABLE.mk_obs(hydro)
     ip = sys.input_pred
     props = {
-        "Hydro": Property("Hydro", ASSERT, table.mk_always(hydro_f, ip)),
+        "Hydro": Property("Hydro", ASSERT, TABLE.mk_always(hydro_f, ip)),
         "Lvl": Property("Lvl", ASSERT,
-                        table.mk_always(table.mk_and([hydro_f, lvl]), ip)),
-        "Hg": Property("Hg", ASSERT, table.mk_always(hg, ip)),
-        "Con": Property("Con", ASSERT, table.mk_always(con, ip)),
+                        TABLE.mk_always(TABLE.mk_and([hydro_f, lvl]), ip)),
+        "Hg": Property("Hg", ASSERT, TABLE.mk_always(hg, ip)),
+        "Con": Property("Con", ASSERT, TABLE.mk_always(con, ip)),
     }
     return props
 

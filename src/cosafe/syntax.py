@@ -46,10 +46,9 @@ class SyntaxContext:
     """What the parser needs to know about a model: its observation
     space, the full-alphabet input predicate for G, and value parsing."""
 
-    def __init__(self, observation_space, input_pred, table=TABLE):
+    def __init__(self, observation_space, input_pred):
         self.space = observation_space
         self.input_pred = input_pred
-        self.table = table
 
     def component_space(self, idx):
         if idx is None:
@@ -117,14 +116,14 @@ class _Parser:
     # -- properties -----------------------------------------------------
 
     def property(self):
-        t = self.ctx.table
         if self.peek() == "F":
             self.take()
             self.take("<")
             pred = self.pred()
             self.take(">")
             self.done()
-            body = t.mk_always(t.mk_obs(complement(pred)), self.ctx.input_pred)
+            body = TABLE.mk_always(TABLE.mk_obs(complement(pred)),
+                                   self.ctx.input_pred)
             return Property("F", REFUTE, body)
         if self.peek() == "!":
             self.take()
@@ -136,10 +135,9 @@ class _Parser:
         that its semantics are defined (and unfolding terminates)."""
         f = self.formula()
         self.done()
-        t = self.ctx.table
-        if not t.is_closed(f):
+        if not TABLE.is_closed(f):
             raise FormulaSyntaxError("'v' outside any 'nu v.'")
-        if not t.is_guarded(f):
+        if not TABLE.is_guarded(f):
             raise FormulaSyntaxError("'v' must sit under a box '[...]' "
                                      "inside its 'nu v.'")
         return f
@@ -151,39 +149,38 @@ class _Parser:
         while self.peek() == "&":
             self.take()
             parts.append(self.term())
-        return self.ctx.table.mk_and(parts)
+        return TABLE.mk_and(parts)
 
     def term(self):
-        t = self.ctx.table
         tok = self.peek()
         if tok == "G":
             self.take()
             body = self.term()
             try:
-                return t.mk_always(body, self.ctx.input_pred)
+                return TABLE.mk_always(body, self.ctx.input_pred)
             except ValueError as e:
                 raise FormulaSyntaxError(str(e))
         if tok == "[":
             self.take()
             pred = self.box_pred()
             self.take("]")
-            return t.mk_box(pred, self.term())
+            return TABLE.mk_box(pred, self.term())
         if tok == "<":
             self.take()
             pred = self.pred()
             self.take(">")
-            return t.mk_obs(pred)
+            return TABLE.mk_obs(pred)
         if tok == "nu":
             self.take()
             self.take("v")
             self.take(".")
-            return t.mk_nu(self.term())
+            return TABLE.mk_nu(self.term())
         if tok == "v":
             self.take()
-            return t.var(0)
+            return TABLE.var(0)
         if tok == "tt":
             self.take()
-            return t.tt(self.ctx.space)
+            return TABLE.tt(self.ctx.space)
         if tok == "(":
             self.take()
             f = self.formula()
@@ -357,8 +354,7 @@ def print_pred(pred, ctx, idx=None, component=False):
 
 
 def print_formula(fid, ctx):
-    t = ctx.table
-    node = t.node(fid)
+    node = TABLE.node(fid)
     tag = node[0]
     if tag == TT:
         return "tt"
@@ -371,37 +367,40 @@ def print_formula(fid, ctx):
     if tag == BOX:
         return "[%s] %s" % (print_pred(node[1], ctx), _maybe_paren(node[2], ctx))
     if tag == NU:
-        body = t.node(node[1])
-        # recognize G f = nu v. f & [I]v
-        if body[0] == AND and len(body[1]) == 2:
-            f, b = body[1]
-            bn = t.node(b)
-            if (bn[0] == BOX and isinstance(bn[1], Universe)
-                    and t.node(bn[2]) == (VAR, 0)):
-                return "G %s" % _maybe_paren(f, ctx)
+        f = _always_body(fid)
+        if f is not None:
+            return "G %s" % _maybe_paren(f, ctx)
         return "nu v. %s" % _maybe_paren(node[1], ctx)
     raise FormulaSyntaxError(tag)
 
 
+def _always_body(fid):
+    """f when fid is G f = nu v. f & [I]v, otherwise None."""
+    node = TABLE.node(fid)
+    if node[0] != NU:
+        return None
+    body = TABLE.node(node[1])
+    if body[0] == AND and len(body[1]) == 2:
+        f, b = body[1]
+        bn = TABLE.node(b)
+        if (bn[0] == BOX and isinstance(bn[1], Universe)
+                and TABLE.node(bn[2]) == (VAR, 0)):
+            return f
+    return None
+
+
 def _maybe_paren(fid, ctx):
     out = print_formula(fid, ctx)
-    if ctx.table.node(fid)[0] == AND:
+    if TABLE.node(fid)[0] == AND:
         return "(%s)" % out
     return out
 
 
 def print_property(prop, ctx):
-    t = ctx.table
     if prop.polarity == ASSERT:
         return print_formula(prop.body, ctx)
-    node = t.node(prop.body)
     # recognize F <Q> = Refute(G <complement Q>)
-    if node[0] == NU:
-        body = t.node(node[1])
-        if body[0] == AND and len(body[1]) == 2:
-            f, b = body[1]
-            fn, bn = t.node(f), t.node(b)
-            if (fn[0] == OBS and bn[0] == BOX and isinstance(bn[1], Universe)
-                    and t.node(bn[2]) == (VAR, 0)):
-                return "F <%s>" % print_pred(complement(fn[1]), ctx)
+    f = _always_body(prop.body)
+    if f is not None and TABLE.node(f)[0] == OBS:
+        return "F <%s>" % print_pred(complement(TABLE.node(f)[1]), ctx)
     return "! %s" % print_formula(prop.body, ctx)

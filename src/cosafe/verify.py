@@ -31,8 +31,8 @@ the scan therefore gives the loop's verdict and counters (Fails at the
 first bad observation with its position as pairs explored, Holds after
 the whole walk, Unknown past the budget) and commits the same pairs.  A
 scanned Holds commits them as one fact, the formula holds at every
-state reachable from x0 (KnowledgeBase.commit_all,
-ClosureEngine.note_satisfied_everywhere).
+state reachable from x0.  A run writes each fact once, through the
+closure engine to the knowledge base the engine loaded.
 
 Every observation check, in a search or a scan, is the function that
 predicate.member_fn compiles from the formula's observation predicate,
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from .closure import BOTH, IMAGE, LITERAL, ClosureEngine, _op_chains
 from .coalgebra import Walk
-from .formula import ASSERT
+from .formula import ASSERT, TABLE
 from .predicate import member_fn
 
 HOLDS = "Holds"
@@ -84,18 +84,19 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     """Decide (sys, x0) |= psi0 under the given knowledge and closure
     configuration.  Returns (Verdict, kb); kb is updated per the
     algorithm's contract (commit R on success, record only direct
-    counterexamples in F on failure).  psi0 must be closed and guarded
-    (ValueError otherwise).  check_many passes _walk, the walk of (sys,
-    x0) its runs share."""
-    table = cfg.table
-    if not table.is_well_formed(psi0):
+    counterexamples in F on failure).  psi0 must be closed and guarded,
+    and an engine passed must have loaded kb (ValueError otherwise).
+    check_many passes _walk, the walk of (sys, x0) its runs share."""
+    if not TABLE.is_well_formed(psi0):
         raise ValueError("verify needs a closed, guarded formula (id %d)"
                          % psi0)
     if engine is None:
         engine = ClosureEngine(cfg)
         engine.load(kb)
+    elif engine.kb is not kb:
+        raise ValueError("the closure engine did not load this knowledge base")
 
-    reach = table.reachable(psi0, sys.inputs)
+    reach = TABLE.reachable(psi0, sys.inputs)
     mode = cfg.failure_mode
     use_lit = mode == LITERAL or (mode == BOTH and bool(engine.literal_ops))
     if _walk is not None and reach == {psi0} and not use_lit:
@@ -112,19 +113,19 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
         failed = mode in (IMAGE, BOTH) and not \
             engine.fail_index.keys().isdisjoint(cfg.implied_by(psi0))
         if (not failed and implicants.isdisjoint(engine.sat_formulae)
+                and kb.sat.keys().isdisjoint(implicants)
                 and not _tentative_ops(cfg, reach, implicants)):
-            at = _walk.find(member_fn(table.obs(psi0)), max_pairs)
+            at = _walk.find(member_fn(TABLE.obs(psi0)), max_pairs)
             if at == len(_walk.states):  # seen is every reachable state
-                kb.commit_all(_walk.seen, psi0)
                 engine.note_satisfied_everywhere(_walk.seen, psi0)
-                return _conclude(kb, engine, HOLDS, None, None, at, 0, ())
+                return _conclude(engine, HOLDS, None, None, at, 0, ())
             bad = (_walk.states[at], psi0) if at < max_pairs else None
-            return _conclude(kb, engine, FAILS if bad else UNKNOWN, bad,
+            return _conclude(engine, FAILS if bad else UNKNOWN, bad,
                              None, at + 1, 0, ())
 
     implicants = {f: cfg.implicants_of(f) for f in reach}
     # each formula's observation check, compiled once
-    checks = {f: member_fn(table.obs(f)) for f in reach}
+    checks = {f: member_fn(TABLE.obs(f)) for f in reach}
     observe = sys.observe_value
     successors = sys.successors
 
@@ -145,7 +146,7 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     else:
         # a node is a (state, formula) pair
         node0 = (x0, psi0)
-        next_of = {f: tuple(table.next(f, i) for i in sys.inputs)
+        next_of = {f: tuple(TABLE.next(f, i) for i in sys.inputs)
                    for f in reach}
 
         def ok(node):
@@ -183,13 +184,15 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     # implies another formula of this run, or when an operator maps it
     closing = bool(tent_ops) or any(len(lifts[f]) > 1 for f in reach)
 
-    sat_committed = engine.sat_index
-    held = {f: [s for g in implicants[f]
-                for s in engine.sat_everywhere.get(g, ())] for f in reach}
+    # committed knowledge: R's state sets of each formula's implicants,
+    # and the images of R's pairs under preserving operators
+    images = engine.sat_index
+    sat = kb.sat
+    held = {f: [sat[g] for g in implicants[f] if g in sat] for f in reach}
 
     def committed(node):
         x, f = pair_of(node)
-        have = sat_committed.get(x)
+        have = images.get(x)
         if have and not implicants[f].isdisjoint(have):
             return True
         for states in held[f]:
@@ -206,7 +209,7 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
             derivable.add(node_of(pair[0], f))
 
     # a node that knowledge shows satisfied is skipped, as a closure hit
-    any_committed = bool(sat_committed) or any(held.values())
+    any_committed = bool(images) or any(held.values())
     knows = closing or any_committed
 
     def known(node):
@@ -258,7 +261,7 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
                 push(succ)
             elif knows and succ not in done and known(succ):
                 hits += 1
-    return _conclude(kb, engine, outcome, counterexample, witness, explored,
+    return _conclude(engine, outcome, counterexample, witness, explored,
                      hits, map(pair_of, done))
 
 
@@ -282,22 +285,21 @@ def _tentative_ops(cfg, reach, targets):
     return out
 
 
-def _conclude(kb, engine, outcome, counterexample, witness, explored, hits,
+def _conclude(engine, outcome, counterexample, witness, explored, hits,
               done_pairs):
-    """Commit a run's outcome to the knowledge and return (Verdict, kb):
-    a Holds commits every done pair, a Fails only its counterexample."""
+    """Commit a run's outcome through the engine to its knowledge base
+    and return (Verdict, kb): a Holds commits every done pair, a Fails
+    only its counterexample."""
     if outcome == HOLDS:
         for pair in done_pairs:
-            kb.commit(*pair)
             engine.note_satisfied(pair)
     elif outcome == FAILS:
-        kb.F.add(counterexample)
         engine.note_failed(counterexample)
     # every explored node had its observation checked, except one that
     # was inferred failing or went over the budget
     subsets = explored - (outcome in (INFERRED_FAILS, UNKNOWN))
     stats = Stats(explored, hits, subsets)
-    return Verdict(outcome, counterexample, witness, stats), kb
+    return Verdict(outcome, counterexample, witness, stats), engine.kb
 
 
 _NEGATED = {HOLDS: FAILS, FAILS: HOLDS, INFERRED_HOLDS: INFERRED_FAILS,

@@ -124,17 +124,23 @@ def test_knowledge_base_keeps_r_as_pairs():
         kb.R = set()
 
 
-def test_knowledge_base_copy_is_independent():
-    kb = KnowledgeBase(R=[(0, 1), (2, 1)], F=[(3, 1)])
-    dup = kb.copy()
-    assert (dup.R, dup.F) == (kb.R, kb.F)
-    dup.commit(4, 1)
-    dup.commit_all([5], 9)
-    dup.F.add((6, 1))
-    kb.commit(7, 1)
-    assert kb.R == {(0, 1), (2, 1), (7, 1)} and kb.F == {(3, 1)}
-    assert dup.R == {(0, 1), (2, 1), (4, 1), (5, 9)}
-    assert dup.F == {(3, 1), (6, 1)}
+@pytest.mark.parametrize("shifts", [False, True])
+def test_engine_writes_through_to_its_knowledge_base(lock, lock_ops, shifts):
+    # the engine adopts the knowledge base it loads: each fact it notes
+    # lands there, and the engine indexes only the operator images
+    f, g, h = (neq_formula(lock, v) for v in (1234, 5678, 9))
+    shift = lock_ops["shift"]
+    kb = KnowledgeBase(R=[(1, f)])
+    engine = loaded(kb, ClosureConfig(operators=[shift] if shifts else []))
+    engine.note_satisfied((2, f))
+    engine.note_satisfied_everywhere({3, 4}, g)
+    engine.note_failed((5, h))
+    assert kb.R == {(1, f), (2, f), (3, g), (4, g)}
+    assert kb.F == {(5, h)}
+    images = {shift.apply(pair) for pair in kb.R} if shifts else set()
+    assert {(x, k) for x, ks in engine.sat_index.items() for k in ks} == images
+    assert all(engine.sat_hit(pair) for pair in kb.R | images)
+    assert engine.fail_hit((5, h))
 
 
 def test_config_rejects_an_unknown_failure_mode():
@@ -227,7 +233,7 @@ def test_literal_failure_check_uses_id_and_images(lock, lock_ops):
 
 
 def test_literal_mode_indexes_no_failure_image(lock, lock_ops):
-    # literal mode reads only raw_F, so noting a failure indexes the
+    # literal mode reads only F, so noting a failure indexes the
     # failing pair alone; the image direction indexes its shift image too
     f = neq_formula(lock, 1234)
     shift = lock_ops["shift"]
@@ -239,7 +245,7 @@ def test_literal_mode_indexes_no_failure_image(lock, lock_ops):
         engine = loaded(KnowledgeBase(F=[pair]), ClosureConfig(
             operators=[shift], failure_mode=mode))
         assert engine.fail_index == index, mode
-        assert engine.raw_F == {pair}, mode
+        assert engine.kb.F == {pair}, mode
 
 
 DIAL = dial_model()
@@ -292,10 +298,11 @@ def test_operator_without_an_image_rule_derives_nothing():
                               EQUIVARIANT, bijective=False)
     d = dial_model()
     f = neq_formula(d, 3)
-    engine = ClosureEngine(ClosureConfig(operators=[const]))
+    kb = KnowledgeBase()
+    engine = loaded(kb, ClosureConfig(operators=[const]))
     engine.note_satisfied((5, f))
     engine.note_failed((3, f))
-    assert engine.sat_index == {5: {f}}
+    assert engine.sat_index == {} and kb.R == {(5, f)}
     assert engine.fail_index == {f: {3}}
     lit = ClosureConfig(operators=[const], failure_mode=LITERAL)
     assert not loaded(KnowledgeBase(F=[(3, f)]), lit).fail_hit((4, f))

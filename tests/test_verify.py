@@ -422,6 +422,19 @@ def test_verify_rejects_open_or_unguarded_formulae():
         assert not kb.R and not kb.F
 
 
+def test_verify_rejects_an_engine_that_did_not_load_its_knowledge_base():
+    # the engine reads and writes the knowledge base it loaded, so with
+    # another one a run would read one store and write the other
+    d = dial_model()
+    kb, cfg = fresh()
+    other = ClosureEngine(cfg)
+    other.load(KnowledgeBase())
+    for engine in (other, ClosureEngine(cfg)):
+        with pytest.raises(ValueError):
+            verify(d, 0, neq_body(d, 7), kb, cfg, engine=engine)
+    assert not kb.R and not kb.F and not other.kb.F
+
+
 def test_check_many_steps_each_state_once():
     # lock(2) has 100 states; checked one by one, the five properties
     # would step most of them five times
@@ -566,6 +579,7 @@ def test_walk_unchanged_when_the_system_raises(model, first, fail, second,
     walk = Walk(system, 0)
     kb, cfg = fresh()
     engine = ClosureEngine(cfg)
+    engine.load(kb)
     got = [verify(system, 0, props[0].body, kb, cfg, engine=engine,
                   _walk=walk)[0]]
     with pytest.raises(RuntimeError):
