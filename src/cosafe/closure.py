@@ -295,8 +295,8 @@ class ClosureEngine:
             self._index_satisfied(pair)
 
     def note_satisfied_everywhere(self, states, f):
-        """Note f satisfied at every state of an iterable of states: one
-        set merge, unless preserving operators need the images."""
+        """Note f satisfied at every state of a set of states: one set
+        merge, unless preserving operators need the images."""
         self.kb.commit_all(states, f)
         if self._sat_ops:
             for x in states:
@@ -325,7 +325,10 @@ class ClosureEngine:
         if have and not want.isdisjoint(have):
             return True
         sat = self.kb.sat
-        return any(x in sat[g] for g in want if g in sat)
+        for g in want:
+            if x in sat.get(g, ()):
+                return True
+        return False
 
     def fail_hit_image(self, pair):
         """Image direction: pair is an equivariant/reflecting image of a
