@@ -53,7 +53,9 @@ class Attacker:
 def apply_attack(sys, attack):
     """The attacked system: same states and alphabet, transformed
     observation and/or transition maps.  Its successors are the base
-    system's, each passed through the state transform."""
+    system's, each passed through the state transform: in one call when
+    the base system folds the transform into its step
+    (`System.fold_transform`), else by composing the two."""
     observe_value = sys.observe_value
     step = sys.step
     successors = sys.successors
@@ -63,10 +65,13 @@ def apply_attack(sys, attack):
 
         def observe_value(x):
             return transform(base_value(x))
-    if attack.state_transform is not None:
+    tau = attack.state_transform
+    folded = None if tau is None else sys.fold_transform(tau)
+    if folded is not None:
+        step, successors = folded.step, folded.successors
+    elif tau is not None:
         base_step = step
         base_successors = successors
-        tau = attack.state_transform
 
         def step(x, i):
             return tau(base_step(x, i))

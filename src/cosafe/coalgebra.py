@@ -22,7 +22,8 @@ class System:
     `observe_value(x)` is the observation of x, a value of
     `observation_space`.  `successors`, when available, returns all
     successor states of x in input order with a single call; the
-    verifier uses it as a fast path.
+    verifier uses it as a fast path.  `fold_transform(tau)` lets
+    `attacker.apply_attack` step an attacked system in one call.
     """
 
     def __init__(self, name, inputs, observe_value, step,
@@ -40,6 +41,12 @@ class System:
     def successors(self, x):
         step = self.step
         return tuple(step(x, i) for i in self.inputs)
+
+    def fold_transform(self, tau):
+        """A system whose step is the state transform tau after this
+        one's step, in one call, or None when this system offers none (the
+        default; a model may shadow it, as `successors`)."""
+        return None
 
     def check_input(self, i):
         if i not in self._input_set:
@@ -242,7 +249,12 @@ def behaviour_system(sys, k):
     the number of listed states minus 1 always gives that; k of the
     diameter plus 1 need not.  Otherwise two states in one class may
     still behave differently, and a verdict need not transfer.  A
-    behaviour state observes its base state's value."""
+    behaviour state observes its base state's value.
+
+    Every successor of a listed state is listed, so `step` and
+    `successors` of a behaviour state only look the base successors of
+    its `rep` up in the wrapped states: they never list a state and
+    never call `wrap`."""
     if k < 0:
         raise ValueError("depth must be >= 0")
     base_step = sys.step
@@ -277,12 +289,19 @@ def behaviour_system(sys, k):
             by_x[y] = st
         return by_x[x]
 
+    lookup = by_x.__getitem__
+    base_successors = sys.successors
+
     def step(st, i):
-        return wrap(base_step(st.rep, i))
+        return lookup(base_step(st.rep, i))
+
+    def successors(st):
+        return tuple(map(lookup, base_successors(st.rep)))
 
     wrapped = System("behaviour(%s,k=%d)" % (sys.name, k), sys.inputs,
                      attrgetter("value"), step,
-                     observation_space=sys.observation_space)
+                     observation_space=sys.observation_space,
+                     successors=successors)
     wrapped.wrap = wrap
     wrapped.exact = True
     return wrapped

@@ -12,14 +12,19 @@ Normalization at construction keeps the set of formulae reachable via
 left-associated with duplicates removed.
 """
 
-from .predicate import (Universe, member, intersect, subset, Undecidable)
+from .predicate import (Universe, member, member_fn, intersect, subset,
+                        Undecidable)
 
 # node tags
 VAR, OBS, BOX, AND, NU, TT = "var", "obs", "box", "and", "nu", "tt"
 
 
 class FormulaTable:
-    """Process-wide hash-cons store.  FormulaIds are indices into _nodes."""
+    """Process-wide hash-cons store.  FormulaIds are indices into _nodes.
+
+    Per formula id it memoizes what does not change once the id exists:
+    `obs`, `next` per input, `unfold`, the compiled observation `check`,
+    and the `reachable` set per input alphabet."""
 
     def __init__(self):
         self._ids = {}
@@ -27,6 +32,8 @@ class FormulaTable:
         self._obs_cache = {}
         self._next_cache = {}
         self._unfold_cache = {}
+        self._check_cache = {}
+        self._reach_cache = {}
         self._subst_cache = {}
         self._well_formed = {}
 
@@ -232,6 +239,14 @@ class FormulaTable:
         self._obs_cache[fid] = out
         return out
 
+    def check(self, fid):
+        """The membership function of obs(fid), compiled once
+        (predicate.member_fn)."""
+        out = self._check_cache.get(fid)
+        if out is None:
+            out = self._check_cache[fid] = member_fn(self.obs(fid))
+        return out
+
     def next(self, fid, i):
         """Obligation after input i."""
         key = (fid, i)
@@ -259,7 +274,12 @@ class FormulaTable:
         return out
 
     def reachable(self, fid, inputs):
-        """All formula ids reachable from fid via next, including fid."""
+        """All formula ids reachable from fid via next under the inputs
+        (a tuple), including fid, as a frozenset kept per (fid, inputs)."""
+        key = (fid, inputs)
+        out = self._reach_cache.get(key)
+        if out is not None:
+            return out
         seen = {fid}
         todo = [fid]
         while todo:
@@ -269,7 +289,8 @@ class FormulaTable:
                 if g not in seen:
                     seen.add(g)
                     todo.append(g)
-        return seen
+        out = self._reach_cache[key] = frozenset(seen)
+        return out
 
 
 TABLE = FormulaTable()

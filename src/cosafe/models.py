@@ -242,41 +242,56 @@ def swat_model(params=None):
     """State (t, lit101, hg101, valve): true level, stored level reading,
     stored pressure reading, valve state.  Observation: (true level,
     true pressure g*t, whether the stored readings are hydrostatically
-    consistent)."""
+    consistent).
+
+    The model folds its own sensor spoofs (`swat_attacks`) into its
+    step: `fold_transform(tau)` is the model whose step is tau after
+    this one's, in one call, when tau is such a spoof."""
     p = params or SwatParams()
     space = ProductSpace((ScaledLine(p.quantum), ScaledLine(p.quantum),
                           BoolSpace()))
     g = p.g
+    inflow, outflow, capacity = p.inflow_q, p.outflow_q, p.capacity_q
+    lo, hi = p.lo_q, p.hi_q
 
     def observe_value(x):
         t, lit, hg, valve = x
         return (t, g * t, hg == g * lit)
 
-    def step(x, i):
-        t, lit, hg, valve = x
-        inflow = p.inflow_q if valve else 0
-        t2 = t + inflow - p.outflow_q
-        if t2 < 0:
-            t2 = 0
-        elif t2 > p.capacity_q:
-            t2 = p.capacity_q
-        # sensors lag one step: the new readings report the old level
-        lit2 = t
-        hg2 = g * t
-        # the controller acts on the stored reading
-        if lit < p.lo_q:
-            valve2 = True
-        elif lit > p.hi_q:
-            valve2 = False
-        else:
-            valve2 = valve
-        return (t2, lit2, hg2, valve2)
+    def system(pin=None, lit_add=0, hg_add=0):
+        """The model whose new readings are rewritten as a spoof's
+        `readings` say: the level reading is pin if given, else the
+        lagged level plus lit_add; the pressure reading is the lagged
+        pressure plus hg_add."""
 
-    def successors(x):
-        return (step(x, "*"),)
+        def step(x, i):
+            t, lit, hg, valve = x
+            t2 = t + inflow - outflow if valve else t - outflow
+            if t2 < 0:
+                t2 = 0
+            elif t2 > capacity:
+                t2 = capacity
+            # the controller acts on the stored reading
+            if lit < lo:
+                valve = True
+            elif lit > hi:
+                valve = False
+            # sensors lag one step: the new readings report the old level
+            return (t2, t + lit_add if pin is None else pin, g * t + hg_add,
+                    valve)
 
-    sys = System("swat", ("*",), observe_value, step, observation_space=space,
-                 successors=successors)
+        def successors(x):
+            return (step(x, "*"),)
+
+        return System("swat", ("*",), observe_value, step,
+                      observation_space=space, successors=successors)
+
+    def fold_transform(tau):
+        readings = getattr(tau, "readings", None)
+        return None if readings is None else system(*readings)
+
+    sys = system()
+    sys.fold_transform = fold_transform
     sys.input_pred = Universe(FiniteSpace(frozenset(sys.inputs)))
     sys.params = p
     sys.initial = (500 * p.scale, 500 * p.scale, g * 500 * p.scale, True)
@@ -315,33 +330,38 @@ def swat_properties(sys):
     return props
 
 
+def _swat_spoof(p, kind, b):
+    """The state transform of a sensor spoof of the water model with
+    parameters p: surge pins the level reading at capacity; bias offsets
+    it by b units; stealthy offsets it and fakes a consistent pressure
+    reading.  Its `readings` (pin, lit_add, hg_add) let the model fold it
+    into its step (`fold_transform`)."""
+    bq = b * p.scale
+    pin, lit_add, hg_add = None, bq, 0
+    if kind == "surge":
+        pin, lit_add = p.capacity_q, 0
+    elif kind == "stealthy":
+        hg_add = p.g * bq
+
+    def spoof(x):
+        t, lit, hg, valve = x
+        return (t, lit + lit_add if pin is None else pin, hg + hg_add, valve)
+
+    spoof.readings = (pin, lit_add, hg_add)
+    return spoof
+
+
 def swat_attacks(sys, b_bias=200, b_stealth=500):
     """Sensor-spoofing attacks; the valve component is untouched.
 
     surge pins the level reading at the maximum; bias offsets it;
     stealthy offsets it and fakes a consistent pressure reading."""
     p = sys.params
-    cap = p.capacity_q
-    bq = b_bias * p.scale
-    sq = b_stealth * p.scale
-    g = p.g
-
-    def surge(x):
-        t, lit, hg, valve = x
-        return (t, cap, hg, valve)
-
-    def bias(x):
-        t, lit, hg, valve = x
-        return (t, lit + bq, hg, valve)
-
-    def stealthy(x):
-        t, lit, hg, valve = x
-        return (t, lit + sq, hg + g * sq, valve)
-
     return {
-        "alpha": Attack("alpha", state_transform=surge),
-        "beta": Attack("beta", state_transform=bias),
-        "gamma": Attack("gamma", state_transform=stealthy),
+        "alpha": Attack("alpha", state_transform=_swat_spoof(p, "surge", 0)),
+        "beta": Attack("beta", state_transform=_swat_spoof(p, "bias", b_bias)),
+        "gamma": Attack("gamma",
+                        state_transform=_swat_spoof(p, "stealthy", b_stealth)),
     }
 
 
@@ -352,18 +372,18 @@ def attack_kinds(sys):
     of one attacker get two rows of its capability report."""
     if sys.name.startswith("swat"):
         def surge(params):
-            return Attack("surge", state_transform=swat_attacks(sys)[
-                "alpha"].state_transform)
+            return Attack("surge",
+                          state_transform=_swat_spoof(sys.params, "surge", 0))
 
         def bias(params):
             b = int(params.get("b", 200))
-            return Attack("bias[%d]" % b, state_transform=swat_attacks(
-                sys, b_bias=b)["beta"].state_transform)
+            return Attack("bias[%d]" % b,
+                          state_transform=_swat_spoof(sys.params, "bias", b))
 
         def stealthy(params):
             b = int(params.get("b", 500))
-            return Attack("stealthy[%d]" % b, state_transform=swat_attacks(
-                sys, b_stealth=b)["gamma"].state_transform)
+            return Attack("stealthy[%d]" % b, state_transform=_swat_spoof(
+                sys.params, "stealthy", b))
 
         return {"surge": surge, "bias": bias, "stealthy": stealthy}
     if sys.name == "dial":

@@ -36,7 +36,11 @@ closure engine to the knowledge base the engine loaded.
 
 Every observation check, in a search or a scan, is the function that
 predicate.member_fn compiles from the formula's observation predicate,
-applied to the state's value.  Direct calls of verify always search.
+applied to the state's value.  It is compiled once per formula id and
+kept by the formula table (TABLE.check), as is each formula's reachable
+set (TABLE.reachable), so the runs of check_many, and the check_many
+calls quantify makes per attacked system, share them.  Direct calls of
+verify always search.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +48,6 @@ from dataclasses import dataclass, field
 from .closure import BOTH, IMAGE, LITERAL, ClosureEngine, _op_chains
 from .coalgebra import Walk
 from .formula import ASSERT, TABLE
-from .predicate import member_fn
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -99,7 +102,8 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     reach = TABLE.reachable(psi0, sys.inputs)
     mode = cfg.failure_mode
     use_lit = mode == LITERAL or (mode == BOTH and bool(engine.literal_ops))
-    if _walk is not None and reach == {psi0} and not use_lit:
+    # reach always holds psi0, so one formula in it means reach == {psi0}
+    if _walk is not None and len(reach) == 1 and not use_lit:
         # psi0 is its own obligation after every input (as G <Q> is), so
         # the nodes are bare states.  The run scans the walk when no
         # knowledge can skip or refute one of them: no committed
@@ -115,7 +119,7 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
         if (not failed and implicants.isdisjoint(engine.sat_formulae)
                 and kb.sat.keys().isdisjoint(implicants)
                 and not _tentative_ops(cfg, reach, implicants)):
-            at = _walk.find(member_fn(TABLE.obs(psi0)), max_pairs)
+            at = _walk.find(TABLE.check(psi0), max_pairs)
             if at == len(_walk.states):  # seen is every reachable state
                 engine.note_satisfied_everywhere(_walk.seen, psi0)
                 return _conclude(engine, HOLDS, None, None, at, 0, ())
@@ -124,12 +128,11 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
                              None, at + 1, 0, ())
 
     implicants = {f: cfg.implicants_of(f) for f in reach}
-    # each formula's observation check, compiled once
-    checks = {f: member_fn(TABLE.obs(f)) for f in reach}
+    checks = {f: TABLE.check(f) for f in reach}
     observe = sys.observe_value
     successors = sys.successors
 
-    if reach == {psi0}:
+    if len(reach) == 1:
         # a node is a bare state
         node0 = x0
         check = checks[psi0]

@@ -88,6 +88,39 @@ def test_attacked_successors_equal_stepping_each_input():
                     attacked.name, x)
 
 
+@pytest.mark.parametrize("kind,b", (("surge", 0), ("bias", 60), ("bias", 220),
+                                    ("stealthy", 140), ("stealthy", 310)))
+def test_swat_folds_its_spoofs_into_the_step(kind, b):
+    # the attacked step is one call, equal to the spoof after the step,
+    # at every state of the lasso (stealthy[310]'s has 16,449 states)
+    s = swat_model()
+    atk = attack_kinds(s)[kind]({"b": b})
+    tau = atk.state_transform
+    assert s.fold_transform(tau) is not None
+    attacked = apply_attack(s, atk)
+    assert attacked.name == "swat+%s" % atk.name
+    x, seen = s.initial, set()
+    while x not in seen:
+        seen.add(x)
+        y = tau(s.step(x, "*"))
+        assert attacked.step(x, "*") == y, x
+        assert attacked.successors(x) == (y,), x
+        x = y
+    assert len(seen) > 1000
+
+
+def test_other_transforms_compose_with_the_swat_step():
+    s = swat_model()
+
+    def drain(x):
+        return (0,) + x[1:]
+
+    assert s.fold_transform(drain) is None
+    assert dial_model().fold_transform(drain) is None
+    attacked = apply_attack(s, Attack("drain", state_transform=drain))
+    assert attacked.step(s.initial, "*") == drain(s.step(s.initial, "*"))
+
+
 def swat_setup():
     s = swat_model()
     props = swat_properties(s)

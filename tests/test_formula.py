@@ -4,7 +4,7 @@ from cosafe.formula import (ASSERT, REFUTE, TABLE, TT, Property,
                             formula_similarity)
 from cosafe.models import swat_model, swat_properties
 from cosafe.predicate import (Complement, FiniteSet, FiniteSpace, Universe,
-                              subset)
+                              member, member_fn, subset)
 
 SPACE = FiniteSpace(frozenset(range(10)))
 INPUTS = ("*",)
@@ -75,6 +75,28 @@ def test_size_examples():
     assert len(TABLE.reachable(TABLE.tt(SPACE), INPUTS)) == 1
     g = TABLE.mk_always(TABLE.mk_obs(obs_pred(1)), IPRED)
     assert len(TABLE.reachable(g, INPUTS)) == 1
+
+
+def test_table_compiles_each_check_once():
+    f = TABLE.mk_obs(obs_pred(1, 2))
+    for h in (f, TABLE.mk_always(f, IPRED), TABLE.tt(SPACE),
+              TABLE.mk_obs(Complement(SPACE, obs_pred(3)))):
+        check = TABLE.check(h)
+        assert TABLE.check(h) is check
+        compiled = member_fn(TABLE.obs(h))
+        for v in range(10):
+            assert check(v) == compiled(v) == member(TABLE.obs(h), v), (h, v)
+
+
+def test_reachable_is_kept_per_alphabet():
+    inputs = FiniteSpace(frozenset((0, 1)))
+    f = TABLE.mk_box(FiniteSet(inputs, frozenset((0,))),
+                     TABLE.mk_obs(obs_pred(1)))
+    # [{0}] <Q>: under input 1 only tt follows; under 0, <Q> too
+    one, both = TABLE.reachable(f, (1,)), TABLE.reachable(f, (0, 1))
+    assert (len(one), len(both)) == (2, 3)
+    assert type(one) is frozenset and type(both) is frozenset
+    assert TABLE.reachable(f, (1,)) is one
 
 
 def test_closed_and_guarded():

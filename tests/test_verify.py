@@ -1,5 +1,9 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from cosafe import coalgebra, formula, predicate
 
 from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
                             AlgebraicOperator, ClosureConfig, ClosureEngine,
@@ -815,6 +819,80 @@ def test_behaviour_system_tells_whether_its_quotient_is_exact():
         behaviour = behaviour_system(ring10(), k)
         behaviour.wrap(0)
         assert behaviour.exact is exact, k
+
+
+def two_copies(base):
+    """base twice over, as states (copy, x), counting its step and
+    successors calls: a wrap in the second copy adds a new root."""
+    calls = {"step": 0, "successors": 0}
+
+    def step(x, i):
+        calls["step"] += 1
+        return (x[0], base.step(x[1], i))
+
+    def successors(x):
+        calls["successors"] += 1
+        return tuple((x[0], y) for y in base.successors(x[1]))
+
+    system = System("2x" + base.name, base.inputs,
+                    lambda x: base.observe_value(x[1]), step,
+                    observation_space=base.observation_space,
+                    successors=successors)
+    return system, calls
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("case", ("lock", "puzzle", "ring"))
+def test_behaviour_successors_look_the_wrapped_states_up(case, k,
+                                                         monkeypatch):
+    walks = []
+
+    class RecordedWalk(Walk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            walks.append(self)
+
+    monkeypatch.setattr(coalgebra, "Walk", RecordedWalk)
+    puzzle = puzzle_model(6)
+    base, x0 = {"lock": (lock_model(2), 0),
+                "puzzle": (puzzle, puzzle.initial),
+                "ring": (ring10(), 0)}[case]
+    system, calls = two_copies(base)
+    behaviour = behaviour_system(system, k)
+    (walk,) = walks
+    for copy in (0, 1):
+        behaviour.wrap((copy, x0))
+        listed = len(walk.states)
+        for st in {behaviour.wrap(x) for x in walk.states}:
+            calls.update(step=0, successors=0)
+            row = behaviour.successors(st)
+            # one call of the base's successors, on the representative
+            assert calls == {"step": 0, "successors": 1}
+            assert row == tuple(behaviour.step(st, i) for i in base.inputs)
+            assert row == tuple(map(behaviour.wrap, system.successors(st.rep)))
+        assert len(walk.states) == listed
+    # the second wrap listed the second copy whole
+    assert [x[0] for x in walk.states] == [0] * (listed // 2) + [1] * (
+        listed // 2)
+
+
+def test_second_check_many_compiles_no_check(monkeypatch):
+    lock = lock_model(2)
+    props = lock_properties(lock)
+    check_many(lock, 0, props, KnowledgeBase(), ClosureConfig())
+    compiled = []
+
+    def counting(p):
+        compiled.append(p)
+        return predicate.member_fn(p)
+
+    for module in (formula, importlib.import_module("cosafe.verify")):
+        if hasattr(module, "member_fn"):
+            monkeypatch.setattr(module, "member_fn", counting)
+    results, _, _ = check_many(lock, 0, props, KnowledgeBase(),
+                               ClosureConfig())
+    assert compiled == []
+    assert all(v.holds() for _, v in results)
 
 
 @pytest.mark.parametrize("where", ("step", "observe"))
