@@ -3,7 +3,7 @@ import importlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosafe import coalgebra, formula, predicate
+from cosafe import coalgebra, formula
 
 from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
                             AlgebraicOperator, ClosureConfig, ClosureEngine,
@@ -884,7 +884,7 @@ def test_second_check_many_compiles_no_check(monkeypatch):
 
     def counting(p):
         compiled.append(p)
-        return predicate.member_fn(p)
+        return member_fn(p)
 
     for module in (formula, importlib.import_module("cosafe.verify")):
         if hasattr(module, "member_fn"):
