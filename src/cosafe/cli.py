@@ -279,12 +279,20 @@ def _load_attackers(path, sys_):
         raise ConfigError("attacker file %s must hold a JSON list" % path)
     kinds = models.attack_kinds(sys_)
     attackers = []
+    names = set()
     for entry in doc:
         try:
             name = entry["name"]
             specs = entry["attacks"]
         except (TypeError, KeyError):
             raise ConfigError("attacker entries need 'name' and 'attacks'")
+        # reports, the matrix and the Hasse edges are keyed by name
+        if not (isinstance(name, str) and name):
+            raise ConfigError("an attacker name must be a nonempty string, "
+                              "got %r" % (name,))
+        if name in names:
+            raise ConfigError("two attackers are named %r" % name)
+        names.add(name)
         if not (isinstance(specs, list)
                 and all(isinstance(spec, dict) for spec in specs)):
             raise ConfigError("attacks of %r must be a list of objects"
@@ -292,7 +300,7 @@ def _load_attackers(path, sys_):
         attacks = []
         for spec in specs:
             kind = spec.get("kind")
-            if kind not in kinds:
+            if not isinstance(kind, str) or kind not in kinds:
                 raise ConfigError("unknown attack kind %r (have: %s)"
                                   % (kind, ", ".join(sorted(kinds))))
             params = spec.get("params", {})
@@ -304,10 +312,7 @@ def _load_attackers(path, sys_):
             except (TypeError, ValueError) as e:
                 raise ConfigError("bad params for attack kind %r: %s"
                                   % (kind, e))
-        try:
-            attackers.append(Attacker(name, attacks))
-        except ValueError as e:
-            raise ConfigError(str(e))
+        attackers.append(Attacker(name, attacks))
     return attackers
 
 
@@ -391,8 +396,6 @@ def _common_flags(p):
 def _swat_flags(p):
     p.add_argument("--g", type=_number(int, 1), default=5)
     p.add_argument("--quantum", type=_quantum, default=0.01)
-    p.add_argument("--bias", type=int, default=200)
-    p.add_argument("--stealth-bias", type=int, default=500)
 
 
 def build_parser():
@@ -414,6 +417,8 @@ def build_parser():
 
     p = sub.add_parser("swat-experiment")
     _swat_flags(p)
+    p.add_argument("--bias", type=int, default=200)
+    p.add_argument("--stealth-bias", type=int, default=500)
     p.add_argument("--dot", help="write the attacker Hasse diagram here")
     _common_flags(p)
     p.set_defaults(func=cmd_swat_experiment)

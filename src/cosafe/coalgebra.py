@@ -20,10 +20,12 @@ class System:
     """A system (X, observe_value, step) over a finite input alphabet.
 
     `observe_value(x)` is the observation of x, a value of
-    `observation_space`.  `successors`, when available, returns all
-    successor states of x in input order with a single call; the
-    verifier uses it as a fast path.  `fold_transform(tau)` lets
-    `attacker.apply_attack` step an attacked system in one call.
+    `observation_space`.  `successors(x)` returns the successor states
+    of x in input order, by stepping each input unless the model passes
+    a faster callable; `Walk` and the verifier's search expand states
+    with it.
+    `fold_transform(tau)` lets `attacker.apply_attack` step an attacked
+    system in one call.
     """
 
     def __init__(self, name, inputs, observe_value, step,

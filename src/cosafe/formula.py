@@ -8,8 +8,9 @@ Satisfaction of a formula by a state is then a simulation question, and
 similarity between formulae is implication.
 
 Normalization at construction keeps the set of formulae reachable via
-`next` finite: tt & f -> f, <Universe> -> tt, conjunction flattened
-left-associated with duplicates removed.
+`next` finite: one tt, which names no observation space, tt & f -> f,
+<Universe> -> tt, conjunction flattened left-associated with duplicates
+removed.
 """
 
 from .predicate import (Universe, member, member_fn, intersect, subset,
@@ -18,13 +19,17 @@ from .predicate import (Universe, member, member_fn, intersect, subset,
 # node tags
 VAR, OBS, BOX, AND, NU, TT = "var", "obs", "box", "and", "nu", "tt"
 
+# what tt and a box allow: any observation, of whatever space it meets
+ANY = Universe(None)
+
 
 class FormulaTable:
     """Process-wide hash-cons store.  FormulaIds are indices into _nodes.
 
     Per formula id it memoizes what does not change once the id exists:
-    `obs`, `next` per input, `unfold`, the compiled observation `check`,
-    and the `reachable` set per input alphabet."""
+    `shape` (closed, guarded), `obs`, `next` per input, `unfold`, the
+    compiled observation `check`, and the `reachable` set per input
+    alphabet."""
 
     def __init__(self):
         self._ids = {}
@@ -35,7 +40,7 @@ class FormulaTable:
         self._check_cache = {}
         self._reach_cache = {}
         self._subst_cache = {}
-        self._well_formed = {}
+        self._shape_cache = {}
 
     def _intern(self, node):
         fid = self._ids.get(node)
@@ -50,15 +55,15 @@ class FormulaTable:
 
     # -- constructors -------------------------------------------------
 
-    def tt(self, space):
-        return self._intern((TT, space))
+    def tt(self):
+        return self._intern((TT,))
 
     def var(self, k):
         return self._intern((VAR, k))
 
     def mk_obs(self, pred):
         if isinstance(pred, Universe):
-            return self.tt(pred.space)
+            return self.tt()
         return self._intern((OBS, pred))
 
     def mk_box(self, input_pred, body):
@@ -70,22 +75,16 @@ class FormulaTable:
             node = self.node(f)
             if node[0] == AND:
                 flat.extend(node[1])
-            elif node[0] == TT:
-                continue
-            else:
+            elif node[0] != TT:
                 flat.append(f)
-        seen, uniq = set(), []
-        for f in flat:
-            if f not in seen:
-                seen.add(f)
-                uniq.append(f)
-        if not uniq:
-            for f in parts:  # all parts were tt
-                return f
-            raise ValueError("empty conjunction")
-        if len(uniq) == 1:
+        uniq = tuple(dict.fromkeys(flat))  # first occurrences, in order
+        if len(uniq) > 1:
+            return self._intern((AND, uniq))
+        if uniq:
             return uniq[0]
-        return self._intern((AND, tuple(uniq)))
+        if not parts:
+            raise ValueError("empty conjunction")
+        return self.tt()  # all parts were tt
 
     def mk_nu(self, body):
         return self._intern((NU, body))
@@ -93,68 +92,39 @@ class FormulaTable:
     def mk_always(self, body, input_space_pred):
         """G f  =  nu v. f & [I]v   (f closed: the new binder would
         capture a free v of f)."""
-        if not self.is_closed(body):
+        if not self.shape(body)[0]:
             raise ValueError("G over a formula with a free v")
         return self.mk_nu(self.mk_and([body, self.mk_box(input_space_pred, self.var(0))]))
 
-    # -- structure checks ---------------------------------------------
+    # -- structure check ----------------------------------------------
 
-    def is_closed(self, fid, depth=0):
-        node = self.node(fid)
-        tag = node[0]
-        if tag == VAR:
-            return node[1] < depth
-        if tag in (TT,):
-            return True
-        if tag == OBS:
-            return True
-        if tag == BOX:
-            return self.is_closed(node[2], depth)
-        if tag == AND:
-            return all(self.is_closed(f, depth) for f in node[1])
-        if tag == NU:
-            return self.is_closed(node[1], depth + 1)
-        raise ValueError(tag)
-
-    def is_well_formed(self, fid):
-        """Closed and guarded, as every formula the verifier takes must
-        be; cached per id."""
-        out = self._well_formed.get(fid)
+    def shape(self, fid):
+        """(closed, guarded): every v has a binder, and a box lies between
+        each bound v and its binder.  The verifier takes only formulae that
+        are both; cached per id."""
+        out = self._shape_cache.get(fid)
         if out is None:
-            out = self._well_formed[fid] = (self.is_closed(fid)
-                                            and self.is_guarded(fid))
+            out = self._shape_cache[fid] = self._shape(fid, ())
         return out
 
-    def is_guarded(self, fid):
-        """Every variable occurrence sits under at least one box below its binder."""
+    def _shape(self, fid, boxed):
+        """shape below the binders enclosing fid, innermost first; boxed[k]
+        says whether a box lies between the k-th of them and fid."""
         node = self.node(fid)
         tag = node[0]
         if tag == VAR:
-            return True  # guardedness of bound vars is checked at the binder
-        if tag in (TT, OBS):
-            return True
+            k = node[1]
+            return (k < len(boxed), k >= len(boxed) or boxed[k])
         if tag == BOX:
-            return self.is_guarded(node[2])
-        if tag == AND:
-            return all(self.is_guarded(f) for f in node[1])
+            return self._shape(node[2], (True,) * len(boxed))
         if tag == NU:
-            return self._var_guarded(node[1], 0, False) and self.is_guarded(node[1])
-        raise ValueError(tag)
-
-    def _var_guarded(self, fid, depth, under_box):
-        node = self.node(fid)
-        tag = node[0]
-        if tag == VAR:
-            return under_box or node[1] != depth
-        if tag in (TT, OBS):
-            return True
-        if tag == BOX:
-            return self._var_guarded(node[2], depth, True)
+            return self._shape(node[1], (False,) + boxed)
+        closed = guarded = True
         if tag == AND:
-            return all(self._var_guarded(f, depth, under_box) for f in node[1])
-        if tag == NU:
-            return self._var_guarded(node[1], depth + 1, under_box)
-        raise ValueError(tag)
+            for f in node[1]:
+                c, g = self._shape(f, boxed)
+                closed, guarded = closed and c, guarded and g
+        return closed, guarded
 
     # -- substitution and unfolding -----------------------------------
 
@@ -193,27 +163,6 @@ class FormulaTable:
 
     # -- coalgebra structure ------------------------------------------
 
-    def space_of(self, fid):
-        """Observation space of a formula, found structurally (no
-        unfolding -- recursing through a fixpoint body would loop)."""
-        node = self.node(fid)
-        tag = node[0]
-        if tag == TT:
-            return node[1]
-        if tag == OBS:
-            return node[1].space
-        if tag == BOX:
-            return self.space_of(node[2])
-        if tag == AND:
-            for f in node[1]:
-                s = self.space_of(f)
-                if s is not None:
-                    return s
-            return None
-        if tag == NU:
-            return self.space_of(node[1])
-        return None  # var: the binder's body determines the space
-
     def obs(self, fid):
         """Allowed observations of a closed, guarded formula."""
         out = self._obs_cache.get(fid)
@@ -221,12 +170,10 @@ class FormulaTable:
             return out
         node = self.node(fid)
         tag = node[0]
-        if tag == TT:
-            out = Universe(node[1])
+        if tag == TT or tag == BOX:
+            out = ANY
         elif tag == OBS:
             out = node[1]
-        elif tag == BOX:
-            out = Universe(self.space_of(node[2]))
         elif tag == AND:
             preds = [self.obs(f) for f in node[1]]
             out = preds[0]
@@ -255,15 +202,10 @@ class FormulaTable:
             return out
         node = self.node(fid)
         tag = node[0]
-        if tag == TT:
-            out = fid
-        elif tag == OBS:
-            out = self.tt(node[1].space)
+        if tag == TT or tag == OBS:
+            out = self.tt()
         elif tag == BOX:
-            if member(node[1], i):
-                out = node[2]
-            else:
-                out = self.tt(self.space_of(node[2]))
+            out = node[2] if member(node[1], i) else self.tt()
         elif tag == AND:
             out = self.mk_and([self.next(f, i) for f in node[1]])
         elif tag == NU:

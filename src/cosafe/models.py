@@ -365,9 +365,17 @@ def swat_attacks(sys, b_bias=200, b_stealth=500):
     }
 
 
+def _int_param(params, key, default):
+    """params[key] (default when absent), an int but not a bool."""
+    v = params.get(key, default)
+    if type(v) is not int:
+        raise ValueError("%s must be an integer, got %r" % (key, v))
+    return v
+
+
 def attack_kinds(sys):
     """Attack constructors available for a model, keyed by kind name;
-    each takes a params dict (used by the attacker configuration file).
+    each takes a params dict of integers (the attacker file's params).
     An attack is named after its kind and parameter, so that two attacks
     of one attacker get two rows of its capability report."""
     if sys.name.startswith("swat"):
@@ -376,23 +384,23 @@ def attack_kinds(sys):
                           state_transform=_swat_spoof(sys.params, "surge", 0))
 
         def bias(params):
-            b = int(params.get("b", 200))
+            b = _int_param(params, "b", 200)
             return Attack("bias[%d]" % b,
                           state_transform=_swat_spoof(sys.params, "bias", b))
 
         def stealthy(params):
-            b = int(params.get("b", 500))
+            b = _int_param(params, "b", 500)
             return Attack("stealthy[%d]" % b, state_transform=_swat_spoof(
                 sys.params, "stealthy", b))
 
         return {"surge": surge, "bias": bias, "stealthy": stealthy}
     if sys.name == "dial":
         def force_obs(params):
-            v = int(params.get("value", 0))
+            v = _int_param(params, "value", 0)
             return Attack("force_obs[%d]" % v, obs_transform=lambda _: v)
 
         def force_state(params):
-            v = int(params.get("value", 0))
+            v = _int_param(params, "value", 0)
             return Attack("force_state[%d]" % v, state_transform=lambda x: v)
 
         return {"force_obs": force_obs, "force_state": force_state}

@@ -135,9 +135,10 @@ class _Parser:
         that its semantics are defined (and unfolding terminates)."""
         f = self.formula()
         self.done()
-        if not TABLE.is_closed(f):
+        closed, guarded = TABLE.shape(f)
+        if not closed:
             raise FormulaSyntaxError("'v' outside any 'nu v.'")
-        if not TABLE.is_guarded(f):
+        if not guarded:
             raise FormulaSyntaxError("'v' must sit under a box '[...]' "
                                      "inside its 'nu v.'")
         return f
@@ -180,7 +181,7 @@ class _Parser:
             return TABLE.var(0)
         if tok == "tt":
             self.take()
-            return TABLE.tt(self.ctx.space)
+            return TABLE.tt()
         if tok == "(":
             self.take()
             f = self.formula()

@@ -90,7 +90,7 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     counterexamples in F on failure).  psi0 must be closed and guarded,
     and an engine passed must have loaded kb (ValueError otherwise).
     check_many passes _walk, the walk of (sys, x0) its runs share."""
-    if not TABLE.is_well_formed(psi0):
+    if TABLE.shape(psi0) != (True, True):
         raise ValueError("verify needs a closed, guarded formula (id %d)"
                          % psi0)
     if engine is None:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cosafe import models
 from cosafe.cli import MAX_DIGITS, build_parser, main
@@ -297,22 +298,87 @@ def test_quantify_rejects_unknown_kind(tmp_path, capsys):
     assert "meteor" in err
 
 
+def bias_doc(b):
+    return [{"name": "x", "attacks": [{"kind": "bias", "params": {"b": b}}]}]
+
+
 @pytest.mark.parametrize("doc", [
-    [{"name": "x", "attacks": [{"kind": "bias", "params": {"b": "x"}}]}],
-    [{"name": "x", "attacks": [{"kind": "bias", "params": {"b": None}}]}],
+    bias_doc("x"),
+    bias_doc(None),
     [{"name": "x", "attacks": [{"kind": "bias", "params": [200]}]}],
     [{"name": "x", "attacks": ["surge"]}],
     [{"name": "x", "attacks": 5}],
     [{"name": "", "attacks": []}],
     5,
+    # b is an int, not a float (1e400 and Infinity read as inf), a bool
+    # or a numeral string
+    pytest.param('[{"name": "x", "attacks": [{"kind": "bias", '
+                 '"params": {"b": 1e400}}]}]', id="b-1e400"),
+    bias_doc(float("inf")),
+    bias_doc(float("nan")),
+    bias_doc(1.7),
+    bias_doc(True),
+    bias_doc("200"),
+    [{"name": "x", "attacks": [{"kind": ["bias"]}]}],
+    [{"name": ["x"], "attacks": []}],
+    # reports, the matrix and the Hasse edges are keyed by name
+    [{"name": "A", "attacks": [{"kind": "surge"}]},
+     {"name": "A", "attacks": []}],
 ])
 def test_quantify_bad_attacker_file_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "attackers.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run(capsys, "quantify", "--model", "swat",
                          "--attackers", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=2)
+    | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=4)
+ATTACK = st.fixed_dictionaries(
+    {"kind": st.sampled_from(("surge", "bias", "stealthy", "meteor")) | JSON},
+    optional={"params": st.fixed_dictionaries(
+        {}, optional={"b": st.integers() | JSON}) | JSON})
+ATTACKER = st.fixed_dictionaries(
+    {"name": st.sampled_from(("A", "B")) | st.text(max_size=3) | JSON,
+     "attacks": st.lists(ATTACK, max_size=2) | JSON})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(ATTACKER, max_size=3) | JSON)
+def test_quantify_any_attacker_file_exits_0_or_2(tmp_path, capsys, doc):
+    # a valid file runs; anything else exits 2 with one line, and no
+    # file crashes quantify (which would exit 1, the code of Unknown)
+    path = tmp_path / "attackers.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "quantify", "--model", "swat",
+                         "--attackers", str(path))
+    if code == 0:
+        assert err == "" and json.loads(out)["reports"] is not None
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "dial", "--bias", "900", "F <.=3>"],
+    ["check", "--model", "swat", "--stealth-bias", "5", "G tt"],
+    ["quantify", "--model", "swat", "--attackers", "a.json",
+     "--bias", "900"],
+])
+def test_spoof_offsets_are_flags_of_swat_experiment_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unrecognized arguments") and \
+        err.count("\n") == 1
+    args = build_parser().parse_args(["swat-experiment", "--bias", "900",
+                                      "--stealth-bias", "5"])
+    assert (args.bias, args.stealth_bias) == (900, 5)
 
 
 def test_quantify_rejects_non_swat_model(tmp_path, capsys):

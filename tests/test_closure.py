@@ -210,7 +210,7 @@ def test_infer_failed_literal_direction():
 def test_infer_with_implication():
     d = dial_model()
     f = neq_formula(d, 3)
-    g = TABLE.tt(d.observation_space)
+    g = TABLE.tt()
     cfg = ClosureConfig(implication=[(f, g)])
     # satisfaction flows up the implication: f confirmed at 0 gives g
     assert loaded(KnowledgeBase(R=[(0, f)]), cfg).sat_hit((0, g))

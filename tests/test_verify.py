@@ -36,7 +36,7 @@ def fresh(ops=(), **kw):
 def test_dial_always_tt_holds_and_explores_all_states():
     d = dial_model()
     kb, cfg = fresh()
-    body = TABLE.mk_always(TABLE.tt(d.observation_space), d.input_pred)
+    body = TABLE.mk_always(TABLE.tt(), d.input_pred)
     v, kb = verify(d, 0, body, kb, cfg)
     assert v.outcome == HOLDS
     assert v.stats.pairs_explored == 10
@@ -65,7 +65,7 @@ def test_dial_eventually_property_negates():
 def test_refute_of_holding_formula_fails():
     d = dial_model()
     kb, cfg = fresh()
-    body = TABLE.mk_always(TABLE.tt(d.observation_space), d.input_pred)
+    body = TABLE.mk_always(TABLE.tt(), d.input_pred)
     v, kb = check_property(d, 0, Property("p", REFUTE, body), kb, cfg)
     assert v.outcome == FAILS
 
@@ -102,7 +102,7 @@ def dial_formulas(d):
     the input, so that the verifier searches (state, formula) pairs."""
     space = d.observation_space
     return [
-        TABLE.mk_always(TABLE.tt(space), d.input_pred),
+        TABLE.mk_always(TABLE.tt(), d.input_pred),
         neq_body(d, 3),
         TABLE.mk_obs(FiniteSet(space, frozenset((0, 1)))),
         TABLE.mk_box(d.input_pred,
@@ -172,7 +172,7 @@ def test_fast_path_agrees_with_general_loop():
     # an extra implication entry disables the specialized loop
     kb2 = KnowledgeBase()
     cfg2 = ClosureConfig(
-        implication=[(TABLE.mk_always(TABLE.tt(d.observation_space),
+        implication=[(TABLE.mk_always(TABLE.tt(),
                                       d.input_pred), body)])
     v2, _ = verify(d, 0, body, kb2, cfg2)
     assert v1.outcome == v2.outcome == FAILS
@@ -382,7 +382,7 @@ def test_search_loop_table(name):
 
 def test_check_many_prescreen_uses_committed_knowledge():
     d = dial_model()
-    body = TABLE.mk_always(TABLE.tt(d.observation_space), d.input_pred)
+    body = TABLE.mk_always(TABLE.tt(), d.input_pred)
     prop = Property("p", ASSERT, body)
     kb, cfg = fresh()
     results, kb, inferred = check_many(d, 0, [prop, prop], kb, cfg)
