@@ -119,12 +119,13 @@ class FormulaTable:
             return self._shape(node[2], (True,) * len(boxed))
         if tag == NU:
             return self._shape(node[1], (False,) + boxed)
-        closed = guarded = True
         if tag == AND:
+            closed = guarded = True
             for f in node[1]:
                 c, g = self._shape(f, boxed)
                 closed, guarded = closed and c, guarded and g
-        return closed, guarded
+            return closed, guarded
+        return True, True  # tt and <Q> hold no v
 
     # -- substitution and unfolding -----------------------------------
 

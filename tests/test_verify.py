@@ -172,8 +172,7 @@ def test_fast_path_agrees_with_general_loop():
     # an extra implication entry disables the specialized loop
     kb2 = KnowledgeBase()
     cfg2 = ClosureConfig(
-        implication=[(TABLE.mk_always(TABLE.tt(),
-                                      d.input_pred), body)])
+        implication=[(TABLE.mk_always(TABLE.tt(), d.input_pred), body)])
     v2, _ = verify(d, 0, body, kb2, cfg2)
     assert v1.outcome == v2.outcome == FAILS
     assert v1.counterexample == v2.counterexample
