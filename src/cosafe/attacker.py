@@ -181,12 +181,20 @@ def hierarchy(reports):
 def hasse_dot(reports, hasse_edges):
     lines = ["digraph attackers {", "  rankdir=BT;"]
     for r in reports:
-        label = "%s\\n{%s}" % (r.attacker_name, ", ".join(sorted(r.capability_set)))
-        lines.append('  "%s" [label="%s"];' % (r.attacker_name, label))
+        name = _dot_escape(r.attacker_name)
+        label = "%s\\n{%s}" % (name, _dot_escape(
+            ", ".join(sorted(r.capability_set))))
+        lines.append('  "%s" [label="%s"];' % (name, label))
     for (a, b) in hasse_edges:
-        lines.append('  "%s" -> "%s";' % (a, b))
+        lines.append('  "%s" -> "%s";' % (_dot_escape(a), _dot_escape(b)))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escape(text):
+    """text for the inside of a quoted DOT string: backslash and quote
+    escaped, so a name reads back as written."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def reports_json(reports, hasse_edges):

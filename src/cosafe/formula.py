@@ -14,7 +14,7 @@ removed.
 """
 
 from .predicate import (Universe, member, member_fn, intersect, subset,
-                        Undecidable)
+                        subset_candidates, Undecidable)
 
 # node tags
 VAR, OBS, BOX, AND, NU, TT = "var", "obs", "box", "and", "nu", "tt"
@@ -241,30 +241,56 @@ TABLE = FormulaTable()
 
 def formula_similarity(formulas, inputs):
     """The greatest simulation on the union of reachable formula sets:
-    (f, g) in the result means f implies g.  Computed as a greatest
-    fixpoint from the observation-inclusion pairs, pruning pairs whose
-    successors fall outside the relation."""
+    (f, g) in the result means f implies g.
+
+    It starts from the pairs whose observations are included, decided
+    once per pair of distinct predicates: formulae are grouped by their
+    `obs` (tt and every box share ANY), a reflexive pair or one onto ANY
+    holds without a call, and `subset` is asked only on the candidate
+    pairs of `predicate.subset_candidates`, whose indexes by space,
+    predicate kind, left-out values and constrained components leave out
+    only pairs on which `subset` is False or Undecidable.  So the start,
+    and with it the result, is exactly the one of trying every pair; a
+    list observing two spaces raises SpaceMismatch as `subset` does.
+
+    It then refines by worklist, as simulation algorithms do: a pair goes
+    when a successor pair under some input is missing, and each pair that
+    goes re-examines only the pairs whose successors include it."""
     universe = set()
     for f in formulas:
         universe |= TABLE.reachable(f, inputs)
-    universe = sorted(universe)
-    rel = set()
-    for f in universe:
-        for g in universe:
-            try:
-                if subset(TABLE.obs(f), TABLE.obs(g)):
-                    rel.add((f, g))
-            except Undecidable:
-                pass  # excluding a pair is always sound for a simulation
-    changed = True
-    while changed:
-        changed = False
-        for (f, g) in list(rel):
-            for i in inputs:
-                if (TABLE.next(f, i), TABLE.next(g, i)) not in rel:
-                    rel.discard((f, g))
-                    changed = True
-                    break
+    holders = {}  # each observation predicate -> the formulae allowing it
+    for f in sorted(universe):
+        holders.setdefault(TABLE.obs(f), []).append(f)
+    preds, groups = list(holders), list(holders.values())
+    included = [(i, i) for i in range(len(preds))]
+    included += [(i, j) for j, q in enumerate(preds) if q == ANY
+                 for i in range(len(preds)) if i != j]
+    for i, j in subset_candidates(preds):
+        try:
+            if subset(preds[i], preds[j]):
+                included.append((i, j))
+        except Undecidable:
+            pass  # excluding a pair is always sound for a simulation
+    rel = {(f, g) for i, j in included for f in groups[i] for g in groups[j]}
+
+    succ = {f: [TABLE.next(f, i) for i in inputs] for f in universe}
+    todo = [(f, g) for f, g in rel
+            if any(pair not in rel for pair in zip(succ[f], succ[g]))]
+    rel.difference_update(todo)
+    if todo:
+        pred = [{} for _ in inputs]  # per input: formula -> its predecessors
+        for f in universe:
+            for k, h in enumerate(succ[f]):
+                pred[k].setdefault(h, []).append(f)
+    while todo:
+        a, b = todo.pop()
+        for back in pred:
+            for f in back.get(a, ()):
+                for g in back.get(b, ()):
+                    if (f, g) in rel:
+                        rel.discard((f, g))
+                        todo.append((f, g))
     return frozenset(rel)
 
 

@@ -12,7 +12,7 @@ integer line: a value is an integer count of a declared quantum (default
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 
 class SpaceMismatch(TypeError):
@@ -24,7 +24,17 @@ class Undecidable(Exception):
 
     This error existing (rather than a silent approximation) is a design
     contract: every answer the algebra does give is exact.
+
+    `subset` raises it with the two predicates of the query as its args
+    and the message naming them is built only when the error is printed:
+    the subset rules raise and catch it far more often than anyone reads
+    it.
     """
+
+    def __str__(self):
+        if len(self.args) == 2:
+            return "no exact subset rule for %r <= %r" % self.args
+        return super().__str__()
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +85,12 @@ class ProductSpace(Space):
     def arity(self):
         return len(self.components)
 
-    def is_finite(self):
+    @cached_property
+    def _finite(self):
         return all(c.is_finite() for c in self.components)
+
+    def is_finite(self):
+        return self._finite  # asked on every subset query, so kept
 
     def enumerate(self):
         import itertools
@@ -157,7 +171,7 @@ def _is_any(p):
 
 
 def _check_space(p, q):
-    if p.space != q.space:
+    if p.space is not q.space and p.space != q.space:
         raise SpaceMismatch("predicates live in different spaces: %r vs %r"
                             % (p.space, q.space))
 
@@ -383,6 +397,12 @@ def subset(p, q):
         return True
     if isinstance(q, Intersection):
         return all(subset(p, part) for part in q.parts)
+    if _cofinite(p) and _cofinite(q):
+        # decided on the excluded sets, without enumerating the space:
+        # p <= q iff q's excluded points of the space are excluded by p
+        missing = q.inner.values - p.inner.values
+        return not missing or (p.space.is_finite()
+                               and missing.isdisjoint(p.space.enumerate()))
     if isinstance(p, Interval) and not p.space.is_finite():
         # decided without enumerating the interval's points
         if isinstance(q, Interval):
@@ -421,7 +441,11 @@ def subset(p, q):
         link = _linear_link_rule(Intersection(p.space, (p,)), q)
         if link is not None:
             return link
-    raise Undecidable("no exact subset rule for %r <= %r" % (p, q))
+    raise Undecidable(p, q)
+
+
+def _cofinite(p):
+    return isinstance(p, Complement) and isinstance(p.inner, FiniteSet)
 
 
 def _try_subset(p, q):
@@ -458,3 +482,130 @@ def _linear_link_rule(p, q):
         img_lo, img_hi = sorted((link.factor * lo, link.factor * hi))
         return c.lo <= img_lo and img_hi <= c.hi
     return None
+
+
+# ---------------------------------------------------------------------------
+# Candidate pairs for subset
+# ---------------------------------------------------------------------------
+
+def subset_candidates(preds):
+    """For distinct predicates `preds`, the index pairs (i, j), i != j,
+    on which subset(preds[i], preds[j]) may be True: every pair left out
+    makes subset return False or raise Undecidable.  Targets that are the
+    any-predicate are left out too (subset holds at once); as a source
+    the any-predicate stands for the Universe of the others' space.
+
+    Two indexes narrow the sources p of a target q instead of trying all:
+    - q = Complement(FiniteSet(B)): p <= q needs p to leave out every
+      point of B (of B within the space, when it is finite).  For p =
+      Complement(FiniteSet(A)) or a Universe that is exactly B <= A, and
+      an inverted index from left-out value to predicates gives these p.
+    - q built of Universe, Product, LinearLink and Intersection over a
+      ProductSpace: p of the same build can be below q only if p
+      constrains or links every component q constrains, since the
+      Product rule compares component by component and a LinearLink or
+      link rule holds only where p carries that link.  q constrains a
+      component that provably leaves out a value of its space; one that
+      covers a finite space, like {false, true}, does not.  On a finite
+      space the enumeration decides, and a p with no points is below
+      every q whatever it constrains.
+    Every other source and target pairs with all.
+
+    Raises SpaceMismatch, as subset does, when preds observe two spaces."""
+    first = next((p for p in preds if not _is_any(p)), None)
+    if first is None:
+        return
+    for q in preds:
+        if not _is_any(q):
+            _check_space(first, q)
+    space = first.space
+    points = frozenset(space.enumerate()) if space.is_finite() else None
+    builds = [_footprint(p, points) if isinstance(space, ProductSpace)
+              else None for p in preds]
+    # cofinite index: left-out value -> sources, and the sources it omits
+    leaves_out, known, unknown = {}, set(), set()
+    # footprint index: components constrained or linked -> sources
+    by_have, unbuilt = {}, set()
+    for i, p in enumerate(preds):
+        left = _left_out(p)
+        if left is None:
+            unknown.add(i)
+        else:
+            known.add(i)
+            for v in left:
+                leaves_out.setdefault(v, set()).add(i)
+        if builds[i] is None or (points is not None and not any(
+                member(p, o) for o in points)):
+            unbuilt.add(i)  # not of the build, or no points at all
+        else:
+            by_have.setdefault(builds[i][0], set()).add(i)
+    everyone = range(len(preds))
+    for j, q in enumerate(preds):
+        if _is_any(q):
+            continue
+        if _cofinite(q):
+            sources = known
+            for v in (q.inner.values if points is None
+                      else q.inner.values & points):
+                sources = sources & leaves_out.get(v, set())
+            sources = sources | unknown
+        elif builds[j] is not None:
+            sources = set(unbuilt)
+            for have, group in by_have.items():
+                if builds[j][1] <= have:
+                    sources |= group
+        else:
+            sources = everyone
+        for i in sources:
+            if i != j:
+                yield i, j
+
+
+def _left_out(p):
+    """The values p is known to leave out, for the cofinite index: A for
+    Complement(FiniteSet(A)), none for a Universe; None for the rest."""
+    if isinstance(p, Universe):
+        return frozenset()
+    if _cofinite(p):
+        return p.inner.values
+    return None
+
+
+def _footprint(p, points):
+    """(have, need) for p built of Universe, Product, LinearLink and
+    Intersection over a ProductSpace, None for any other p.  `have` holds
+    the components p constrains or links; `need` those a p' must have
+    for subset(p', p) to be True.  `points` is the space's extent when it
+    is finite, else None."""
+    if isinstance(p, Universe):
+        return frozenset(), frozenset()
+    if isinstance(p, Product):
+        return (frozenset(k for k, c in enumerate(p.components)
+                          if not isinstance(c, Universe)),
+                frozenset(k for k, c in enumerate(p.components)
+                          if _constrains(c)))
+    if isinstance(p, LinearLink):
+        link = frozenset((p.src, p.dst))
+        # on a finite space the enumeration decides, not the link rule
+        return link, (link if points is None else frozenset())
+    if isinstance(p, Intersection):
+        have = need = frozenset()
+        for part in p.parts:
+            built = _footprint(part, points)
+            if built is None:
+                return None
+            have, need = have | built[0], need | built[1]
+        return have, need
+    return None
+
+
+def _constrains(c):
+    """Whether the component predicate c provably leaves out a value of
+    its space, so that subset(Universe(c.space), c) is not True."""
+    if isinstance(c, Universe):
+        return False
+    if c.space.is_finite():
+        return not all(member(c, v) for v in c.space.enumerate())
+    if _cofinite(c):
+        return bool(c.inner.values)
+    return isinstance(c, (Empty, FiniteSet, Interval))

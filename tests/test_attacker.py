@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -203,6 +204,26 @@ def test_hierarchy_transitive_reduction():
     h = hierarchy(rs)
     assert ("a", "c") in h["edges"]
     assert h["hasse"] == [("a", "b"), ("b", "c")]
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    quoted = r'"((?:[^"\\]|\\.)*)"'  # a DOT string: no bare quote inside
+    rs = [CapabilityReport('a"b', {"P"}, {}),
+          CapabilityReport("a\\b", {"P", 'Q"'}, {})]
+    h = hierarchy(rs)
+    lines = hasse_dot(rs, h["hasse"]).splitlines()
+    nodes = [re.fullmatch(r'  %s \[label=%s\];' % (quoted, quoted), line)
+             for line in lines[2:4]]
+    edge = re.fullmatch(r"  %s -> %s;" % (quoted, quoted), lines[4])
+    assert all(nodes) and edge and lines[5] == "}"
+
+    def unescape(text):
+        return re.sub(r"\\(.)", r"\1", text)
+
+    assert [unescape(m.group(1)) for m in nodes] == ['a"b', "a\\b"]
+    # the label keeps its line break, the DOT escape \n
+    assert nodes[1].group(2) == r'a\\b\n{P, Q\"}'
+    assert [unescape(g) for g in edge.groups()] == ['a"b', "a\\b"]
 
 
 def test_attacker_requires_name():

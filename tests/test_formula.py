@@ -143,9 +143,9 @@ def reference_shape(fid):
     return closed, guarded
 
 
-def _formulae(leaves):
+def _formulae(leaves, boxes=st.just(IPRED)):
     return st.recursive(leaves, lambda kids: st.one_of(
-        kids.map(lambda f: TABLE.mk_box(IPRED, f)),
+        st.tuples(boxes, kids).map(lambda box: TABLE.mk_box(*box)),
         kids.map(TABLE.mk_nu),
         st.lists(kids, min_size=2, max_size=3).map(TABLE.mk_and)),
         max_leaves=8)

@@ -110,6 +110,36 @@ def test_undecidable_raised_for_uncovered_query():
         subset(a, b)
 
 
+def test_undecidable_names_its_query_when_printed():
+    ps = ProductSpace((LINE, LINE))
+    a = LinearLink(ps, src=0, dst=1, factor=5)
+    b = LinearLink(ps, src=0, dst=1, factor=7)
+    with pytest.raises(Undecidable) as err:
+        subset(a, b)
+    assert err.value.args == (a, b)
+    assert str(err.value) == "no exact subset rule for %r <= %r" % (a, b)
+    assert str(Undecidable("cannot enumerate an infinite space")) == \
+        "cannot enumerate an infinite space"
+
+
+@given(st.sets(st.integers(0, 10), max_size=5),
+       st.sets(st.integers(0, 10), max_size=5))
+def test_cofinite_pairs_decided_on_their_sets(a, b):
+    # values 8..10 lie outside SPACE: only the space's points count there
+    p, q = Complement(SPACE, fs(*a)), Complement(SPACE, fs(*b))
+    assert subset(p, q) == (extent(p) <= extent(q))
+    p, q = (Complement(LINE, FiniteSet(LINE, frozenset(v))) for v in (a, b))
+    assert subset(p, q) == (b <= a)
+
+
+def test_product_space_finiteness_is_kept():
+    bits = ProductSpace((BoolSpace(), BoolSpace()))
+    assert bits.is_finite() and bits.is_finite()
+    assert not ProductSpace((LINE, BoolSpace())).is_finite()
+    fresh = ProductSpace((BoolSpace(), BoolSpace()))
+    assert bits == fresh and hash(bits) == hash(fresh) and repr(bits) == repr(fresh)
+
+
 def test_product_componentwise():
     ps = ProductSpace((LINE, LINE, BoolSpace()))
     p = Product(ps, (Interval(LINE, 0, 10), Universe(LINE),
