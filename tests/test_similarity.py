@@ -214,6 +214,18 @@ def test_order_matches_reference(formulas, data):
             == ref.order_properties(props, pairs))
 
 
+def test_order_of_a_strict_cycle():
+    # a -> b -> c -> a, none mutual: the cycle is placed in input order,
+    # after what its members strictly imply is free to go first
+    a, b, c, d = _obs(*(FiniteSet(DIGITS, frozenset((n,))) for n in range(4)))
+    props = [Property(name, ASSERT, f)
+             for name, f in zip("dcbaa", (d, c, b, a, a))]
+    pairs = {(a, b), (b, c), (c, a), (d, c), (a, a)}
+    ordered = order_properties(props, pairs)
+    assert ordered == ref.order_properties(props, pairs)
+    assert sorted(map(id, ordered)) == sorted(map(id, props))
+
+
 def _same_on_model(sys_, props):
     bodies = [p.body for p in props]
     rel = formula_similarity(bodies, sys_.inputs)
