@@ -2,7 +2,9 @@
 attacker quantification.
 
 Exit codes: 0 success, 1 a property check came back Unknown, 2
-configuration error (unknown names, bad files, bad flags).
+configuration error (unknown names, bad files, bad flags) or a library
+error (ValueError, Undecidable) that escapes a subcommand, reported as
+one line on stderr.
 
 Output formats are deterministic; the elapsed-milliseconds columns are
 the only fields that vary between runs and are never compared in tests.
@@ -19,6 +21,7 @@ from .attacker import (Attacker, capabilities, hasse_dot, hierarchy,
                        reports_json)
 from .closure import BOTH, IMAGE, LITERAL, ClosureConfig, KnowledgeBase
 from .formula import formula_similarity
+from .predicate import Undecidable
 from .syntax import FormulaSyntaxError, SyntaxContext, parse_property
 from .verify import DEFAULT_MAX_PAIRS, UNKNOWN, check_many
 
@@ -450,8 +453,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        _sys.stderr.write("error: %s\n" % e)
+    except (ValueError, Undecidable) as e:
+        # a ConfigError, or a library error a subcommand let through: a
+        # traceback would exit 1, the code of Unknown
+        _sys.stderr.write("error: %s\n" % str(e).replace("\n", " "))
         return 2
 
 

@@ -78,7 +78,16 @@ class Walk:
     asked for, so a `find` that stops at a state has stepped exactly the
     states listed before it.  A step or an observation is recorded only
     once it has returned, so a system that raises leaves the listing as
-    it was, and a retry steps no state twice."""
+    it was, and a retry steps no state twice.
+
+    Two position indexes over the listed states serve the finds that
+    name values or states to stop at: each value's first position, and
+    each state's first predecessor, the first position whose state steps
+    into it (on a depth-first walk from `succ`; on a path the position
+    before it, which is right for every state but a root).  Each is
+    built lazily, by the first find that needs it, and extended to the
+    states listed since whenever a find asks again, so every find on one
+    walk shares them; a walk that no such find asks builds neither."""
 
     def __init__(self, sys, *roots):
         self.sys = sys
@@ -87,6 +96,9 @@ class Walk:
         self._todo = []  # seen, not listed yet
         # the last listed state, while its successors are not taken
         self._unexpanded = None
+        # the position indexes and how many positions each covers
+        self._first_value, self._valued = {}, 0
+        self._first_pred, self._preceded = {}, 0
         for x in roots:
             self.add_root(x)
 
@@ -97,20 +109,45 @@ class Walk:
             self.seen.add(x)
             self._todo.insert(0, x)
 
-    def find(self, check, limit):
-        """The position of the first state whose value check rejects, or
-        of the state at position limit, listing states only as far as
-        needed; if neither comes before the walk ends, the number of
-        reachable states.  check.first_miss checks the listed ones."""
+    def find(self, check, limit, excluded=None, failing=None):
+        """The first of these positions, listing states only as far as
+        needed: the first state whose value check rejects, the first
+        state with a successor in the set `failing`, and the state at
+        position limit; if none comes before the walk ends, the number of
+        reachable states.  A position below limit whose value check
+        accepts is therefore one that steps into `failing`.
+
+        The listed part is read through the position indexes: excluded,
+        when given, is the set of the values check rejects, looked up by
+        their first positions, and the states of `failing`, which must
+        hold no root, by their first predecessors.  Without excluded,
+        check.first_miss checks the listed values.  States listed past
+        those are checked as they come."""
         states, values = self.states, self.values
         i = min(len(values), limit)
-        bad = check.first_miss(values, 0, i)
-        if bad is not None:
-            return bad
-        if i < len(values):
-            return i
+        stop = i
+        if excluded is None:
+            bad = check.first_miss(values, 0, i)
+            if bad is not None:
+                stop = bad
+        else:
+            if self._valued < len(values):
+                self._index_values()
+            first = self._first_value
+            for v in excluded:
+                at = first.get(v)
+                if at is not None and at < stop:
+                    stop = at
+        if failing:
+            first = self._index_preds()
+            for y in failing:
+                at = first.get(y)
+                if at is not None and at < stop:
+                    stop = at
+        if stop < len(values):
+            return stop
         if len(self.sys.inputs) == 1:
-            return self._find_on_path(check, limit, i)
+            return self._find_on_path(check, limit, i, failing)
         todo, seen, succ = self._todo, self.seen, self.succ
         successors, observe = self.sys.successors, self.sys.observe_value
         x = self._unexpanded
@@ -124,6 +161,8 @@ class Walk:
                             seen.add(y)
                             todo.append(y)
                     x = None
+                    if failing and not failing.isdisjoint(row):
+                        return i - 1
                 if not todo:
                     return i
                 o = observe(todo[-1])
@@ -136,10 +175,11 @@ class Walk:
         finally:
             self._unexpanded = x
 
-    def _find_on_path(self, check, limit, i):
+    def _find_on_path(self, check, limit, i, failing):
         """find past the listed states of a one-input walk, from the i-th
         on.  Its todo holds the roots not listed yet and, on top, a
-        stepped state whose observation raised."""
+        stepped state not listed yet: its observation raised, or it is
+        in `failing`."""
         seen, todo = self.seen, self._todo
         list_state, list_value, mark_seen = (self.states.append,
                                              self.values.append, seen.add)
@@ -160,6 +200,8 @@ class Walk:
                             x = y = None
                             continue
                         mark_seen(y)
+                if failing and y in failing:  # the state before steps in
+                    return i - 1
                 o = observe(y)
                 x, y = y, None
                 list_value(o)
@@ -168,10 +210,47 @@ class Walk:
                     return i
                 i += 1
         finally:
-            if y is not None:  # its observation raised; x is stepped
+            if y is not None:  # not listed; x is stepped
                 todo.append(y)
                 x = None
             self._unexpanded = x
+
+    def successor_in(self, at, targets):
+        """The first successor, in input order, of the state at position
+        at that lies in targets: the one a find for `failing` = targets
+        stopped at, when that state's value passed the check."""
+        if len(self.sys.inputs) == 1:
+            after = at + 1
+            return (self.states[after] if after < len(self.states)
+                    else self._todo[-1])
+        for y in self.succ[at]:
+            if y in targets:
+                return y
+
+    def _index_values(self):
+        """Extend the index of each value's first position to every
+        listed state."""
+        first, values = self._first_value, self.values
+        for at in range(self._valued, len(values)):
+            first.setdefault(values[at], at)
+        self._valued = len(values)
+
+    def _index_preds(self):
+        """The index of each state's first predecessor (see the class),
+        extended to every listed state."""
+        first = self._first_pred
+        if len(self.sys.inputs) == 1:
+            states = self.states
+            for at in range(max(self._preceded, 1), len(states)):
+                first.setdefault(states[at], at - 1)
+            self._preceded = len(states)
+        else:
+            succ = self.succ
+            for at in range(self._preceded, len(succ)):
+                for y in succ[at]:
+                    first.setdefault(y, at)
+            self._preceded = len(succ)
+        return first
 
 
 def _everything(value):

@@ -13,8 +13,8 @@ Normalization at construction keeps the set of formulae reachable via
 removed.
 """
 
-from .predicate import (Universe, member, member_fn, intersect, subset,
-                        subset_candidates, Undecidable)
+from .predicate import (Complement, FiniteSet, Universe, member, member_fn,
+                        intersect, subset, subset_candidates, Undecidable)
 
 # node tags
 VAR, OBS, BOX, AND, NU, TT = "var", "obs", "box", "and", "nu", "tt"
@@ -28,8 +28,8 @@ class FormulaTable:
 
     Per formula id it memoizes what does not change once the id exists:
     `shape` (closed, guarded), `obs`, `next` per input, `unfold`, the
-    compiled observation `check`, and the `reachable` set per input
-    alphabet."""
+    compiled observation `check`, the values it `excluded`, and the
+    `reachable` set per input alphabet."""
 
     def __init__(self):
         self._ids = {}
@@ -38,6 +38,7 @@ class FormulaTable:
         self._next_cache = {}
         self._unfold_cache = {}
         self._check_cache = {}
+        self._excluded_cache = {}
         self._reach_cache = {}
         self._subst_cache = {}
         self._shape_cache = {}
@@ -194,6 +195,17 @@ class FormulaTable:
         if out is None:
             out = self._check_cache[fid] = member_fn(self.obs(fid))
         return out
+
+    def excluded(self, fid):
+        """The set B when obs(fid) is Complement(FiniteSet(B)), the
+        values check(fid) rejects, as in every G <.!=n>; else None."""
+        cache = self._excluded_cache
+        if fid not in cache:
+            allowed = self.obs(fid)
+            cache[fid] = (allowed.inner.values
+                          if isinstance(allowed, Complement)
+                          and isinstance(allowed.inner, FiniteSet) else None)
+        return cache[fid]
 
     def next(self, fid, i):
         """Obligation after input i."""

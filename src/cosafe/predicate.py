@@ -420,6 +420,9 @@ def subset(p, q):
                 return len(qc) == 0
         if isinstance(q, Empty) or isinstance(q, FiniteSet) or isinstance(q, Interval):
             return False
+        if isinstance(q, Product) and all(
+                _try_subset(Universe(c.space), c) for c in q.components):
+            return True  # every component covers its space
     if isinstance(p, Complement):
         pc = _finite_extent(p.inner)
         if pc is not None:

@@ -19,20 +19,35 @@ what the exploration statistics measure.
 
 check_many explores each system once: its runs share one
 coalgebra.Walk, the states reachable from x0 in the loop's own pop
-order.  A run scans the walk instead of searching when no knowledge can
-steer it: its nodes are bare states, no failing node is known, the
-literal failure check is off, no tentative closure applies, and no
-implicant of the formula is committed anywhere.  verify decides this
-first, from the formula's reachable set and the closure engine's
-indexes, and builds nothing of the search unless it searches.  Under
-those conditions the loop skips nothing and pushes every unseen
-successor in input order, so it would pop exactly the walk's states;
-the scan therefore gives the loop's verdict and counters (Fails at the
-first bad observation with its position as pairs explored, Holds after
-the whole walk, Unknown past the budget) and commits the same pairs.  A
+order.  Whether a run scans the walk instead of searching is decided in
+one place, `_scan`, which check_many calls on each run that its
+prescreen did not answer, before any search set-up: a run scans when
+only failure knowledge can steer it, that is, its nodes are bare states,
+the literal failure check is off, no tentative closure applies, and no
+implicant of the formula is committed anywhere.  Under those conditions
+the loop skips nothing and pushes every unseen successor in input
+order, so it pops exactly the walk's states until it expands a state
+with a successor in its failing set (the states where a formula it
+implies is known to fail); it pushes that successor last and pops it
+next.  The scan therefore gives the loop's verdict and counters: Fails
+at the first bad observation, with its position plus 1 as pairs
+explored; InferredFails at the first state j that steps into the
+failing set, with j + 2 pairs, 1 hit and the first such successor in
+input order as witness (1 pair when x0 itself fails); Holds after the
+whole walk; Unknown past the budget.  It commits the same pairs; a
 scanned Holds commits them as one fact, the formula holds at every
 state reachable from x0.  A run writes each fact once, through the
 closure engine to the knowledge base the engine loaded.
+
+A scan reads the listed part of the walk through two position indexes
+the walk keeps for all the runs of one check_many: the first bad state
+of an obligation <.!=B> (its observation predicate is
+Complement(FiniteSet(B)), TABLE.excluded) is the least first position
+of a value in B, and the first state stepping into the failing set is
+the least first predecessor of its states.  Each index is built only
+when a run of that kind comes, so a system whose runs ask neither, like
+the water plant, builds none.  Past the listed part the walk lists on
+with the compiled check.
 
 Every observation check, in a search or a scan, is the function that
 predicate.member_fn compiles from the formula's observation predicate,
@@ -40,7 +55,7 @@ applied to the state's value.  It is compiled once per formula id and
 kept by the formula table (TABLE.check), as is each formula's reachable
 set (TABLE.reachable), so the runs of check_many, and the check_many
 calls quantify makes per attacked system, share them.  Direct calls of
-verify always search.
+verify search, unless given the walk to scan (_walk).
 """
 
 from dataclasses import dataclass, field
@@ -59,14 +74,14 @@ UNKNOWN = "Unknown"
 DEFAULT_MAX_PAIRS = 10 ** 7
 
 
-@dataclass
+@dataclass(slots=True)
 class Stats:
     pairs_explored: int = 0
     closure_hits: int = 0
     subset_checks: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     outcome: str
     counterexample: object = None
@@ -90,44 +105,22 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     algorithm's contract (commit R on success, record only direct
     counterexamples in F on failure).  psi0 must be closed and guarded,
     and an engine passed must have loaded kb (ValueError otherwise).
-    check_many passes _walk, the walk of (sys, x0) its runs share."""
-    if TABLE.shape(psi0) != (True, True):
-        raise ValueError("verify needs a closed, guarded formula (id %d)"
-                         % psi0)
+    Given _walk, the walk of (sys, x0), the run scans it when `_scan`
+    says it may, as a run of check_many does."""
+    _require_shape(psi0)
     if engine is None:
         engine = ClosureEngine(cfg)
         engine.load(kb)
     elif engine.kb is not kb:
         raise ValueError("the closure engine did not load this knowledge base")
+    if _walk is not None:
+        verdict = _scan(_walk, x0, psi0, cfg, engine, max_pairs)
+        if verdict is not None:
+            return verdict, kb
 
     reach = TABLE.reachable(psi0, sys.inputs)
     mode = cfg.failure_mode
     use_lit = mode == LITERAL or (mode == BOTH and bool(engine.literal_ops))
-    # reach always holds psi0, so one formula in it means reach == {psi0}
-    if _walk is not None and len(reach) == 1 and not use_lit:
-        # psi0 is its own obligation after every input (as G <Q> is), so
-        # the nodes are bare states.  The run scans the walk when no
-        # knowledge can skip or refute one of them: no committed
-        # implicant of psi0, no known failure of a formula psi0 implies,
-        # and no operator that closes the tentative pairs (the only
-        # formula of the run is psi0, so a pair derives more than its
-        # own node only through an operator).  The loop would then pop
-        # exactly the walk's states, in its order.
-        implicants = cfg.implicants_of(psi0)
-        # a formula is a key of fail_index once it fails somewhere
-        failed = mode in (IMAGE, BOTH) and not \
-            engine.fail_index.keys().isdisjoint(cfg.implied_by(psi0))
-        if (not failed and implicants.isdisjoint(engine.sat_formulae)
-                and kb.sat.keys().isdisjoint(implicants)
-                and not _tentative_ops(cfg, reach, implicants)):
-            at = _walk.find(TABLE.check(psi0), max_pairs)
-            if at == len(_walk.states):  # seen is every reachable state
-                engine.note_satisfied_everywhere(_walk.seen, psi0)
-                return _conclude(engine, HOLDS, None, None, at, 0, ())
-            bad = (_walk.states[at], psi0) if at < max_pairs else None
-            return _conclude(engine, FAILS if bad else UNKNOWN, bad,
-                             None, at + 1, 0, ())
-
     implicants = {f: cfg.implicants_of(f) for f in reach}
     checks = {f: TABLE.check(f) for f in reach}
     observe = sys.observe_value
@@ -269,6 +262,54 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
                      hits, map(pair_of, done))
 
 
+def _require_shape(psi0):
+    if TABLE.shape(psi0) != (True, True):
+        raise ValueError("verify needs a closed, guarded formula (id %d)"
+                         % psi0)
+
+
+def _scan(walk, x0, psi0, cfg, engine, max_pairs):
+    """The verdict of the run of psi0 (closed and guarded) from x0, the
+    root of `walk`, committed through the engine, when the run scans the
+    walk (see the module docstring); None when it must search.  The
+    only formula of a run on bare states is psi0, so a tentative pair
+    derives more than its own node only through an operator."""
+    reach = TABLE.reachable(psi0, walk.sys.inputs)
+    mode = cfg.failure_mode
+    # reach always holds psi0, so one formula in it means reach == {psi0}
+    if len(reach) > 1 or mode == LITERAL or (mode == BOTH
+                                              and engine.literal_ops):
+        return None
+    implicants = cfg.implicants_of(psi0)
+    if not (implicants.isdisjoint(engine.sat_formulae)
+            and engine.kb.sat.keys().isdisjoint(implicants)):
+        return None
+    if cfg.operators and _tentative_ops(cfg, reach, implicants):
+        return None
+    failing = None
+    for g in cfg.implied_by(psi0):
+        states = engine.fail_index.get(g)
+        if states:
+            failing = states if failing is None else failing | states
+    if failing and x0 in failing:
+        return Verdict(INFERRED_FAILS, None, (x0, psi0), Stats(1, 1, 0))
+    check = TABLE.check(psi0)
+    at = walk.find(check, max_pairs, TABLE.excluded(psi0), failing)
+    if at == len(walk.states):  # seen is every reachable state
+        engine.note_satisfied_everywhere(walk.seen, psi0)
+        return Verdict(HOLDS, None, None, Stats(at, 0, at))
+    if at == max_pairs:
+        return Verdict(UNKNOWN, None, None, Stats(at + 1, 0, at))
+    if not check(walk.values[at]):
+        bad = (walk.states[at], psi0)
+        engine.note_failed(bad)
+        return Verdict(FAILS, bad, None, Stats(at + 1, 0, at + 1))
+    # the state at `at` steps into failing: the loop pops that successor
+    return Verdict(INFERRED_FAILS, None,
+                   (walk.successor_in(at, failing), psi0),
+                   Stats(at + 2, 1, at + 1))
+
+
 def _tentative_ops(cfg, reach, targets):
     """The operators a run closes its tentatively satisfying pairs
     under.  Skipping an unexplored subtree on the strength of an
@@ -331,10 +372,13 @@ def check_property(sys, x0, prop, kb, cfg, engine=None,
 def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
     """Check an ordered list of properties, threading the knowledge base.
 
-    Each property is first pre-screened at the initial pair against the
-    closure of accumulated knowledge; a hit yields an Inferred verdict
-    with no exploration (recorded as 1 pair).  Returns (results, kb,
-    inferred_count) where results is a list of (Property, Verdict)."""
+    Each property's body must be closed and guarded (ValueError
+    otherwise).  Each property is first pre-screened at the initial pair
+    against the closure of accumulated knowledge; a hit yields an
+    Inferred verdict with no exploration (recorded as 1 pair).  Else its
+    run scans the walk the runs share when `_scan` says it may, and
+    searches otherwise.  Returns (results, kb, inferred_count) where
+    results is a list of (Property, Verdict)."""
     engine = ClosureEngine(cfg)
     engine.load(kb)
     # the states reachable from x0, explored once for every run below
@@ -342,6 +386,7 @@ def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
     results = []
     inferred = 0
     for prop in props:
+        _require_shape(prop.body)
         pair = (x0, prop.body)
         if engine.sat_hit(pair):
             inner = Verdict(INFERRED_HOLDS, witness=pair,
@@ -350,8 +395,10 @@ def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
             inner = Verdict(INFERRED_FAILS, witness=pair,
                             stats=Stats(pairs_explored=1, closure_hits=1))
         else:
-            inner, kb = verify(sys, x0, prop.body, kb, cfg, engine=engine,
-                               max_pairs=max_pairs, _walk=walk)
+            inner = _scan(walk, x0, prop.body, cfg, engine, max_pairs)
+            if inner is None:
+                inner, kb = verify(sys, x0, prop.body, kb, cfg,
+                                   engine=engine, max_pairs=max_pairs)
         verdict = _property_verdict(prop, inner)
         if verdict.inferred():
             inferred += 1

@@ -7,8 +7,9 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cosafe import models
+from cosafe import cli, models
 from cosafe.cli import MAX_DIGITS, build_parser, main
+from cosafe.predicate import Undecidable
 
 
 def run(capsys, *argv):
@@ -194,6 +195,31 @@ def test_check_shift_maps_the_inputs_a_box_names(capsys, mode):
     assert (result["outcome"], result["pairs_explored"]) == ("Fails", 53)
     assert out == run(capsys, *argv, prop)[1]
 
+
+
+def _raises(error):
+    def call(*args, **kwargs):
+        raise error
+    return call
+
+
+@pytest.mark.parametrize("argv, name, error", [
+    (("check", "--model", "dial", "G <.!=7>"), "check_many",
+     ValueError("no image rule\nfor this box")),
+    (("lock-experiment", "--digits", "2", "--operators", "shift"),
+     "check_many", Undecidable("p", "q")),
+    (("quantify", "--model", "swat"), "capabilities",
+     Undecidable("p", "q")),
+])
+def test_library_error_exits_2_with_one_line(capsys, monkeypatch, argv,
+                                             name, error):
+    # an error the library raises past a subcommand is a bad input, not
+    # an Unknown verdict (exit 1) or a crash
+    monkeypatch.setattr(cli, name, _raises(error))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in out + err
 
 def test_python_m_cosafe_runs_from_a_checkout():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"

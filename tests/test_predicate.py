@@ -6,7 +6,7 @@ from cosafe.predicate import (BoolSpace, Complement, Empty, FiniteSet,
                               LinearLink, Product, ProductSpace, ScaledLine,
                               SpaceMismatch, Undecidable, Universe,
                               complement, intersect, member, member_fn,
-                              subset)
+                              subset, subset_candidates)
 
 SPACE = FiniteSpace(frozenset(range(8)))
 LINE = ScaledLine(0.01)
@@ -151,6 +151,21 @@ def test_product_componentwise():
     assert not member(p, (11, 0, True))
     assert subset(p, q) and not subset(q, p)
 
+
+
+def test_universe_below_a_product_that_covers_every_component():
+    water = ProductSpace((LINE, LINE, BoolSpace()))
+    covering = Product(water, (
+        Universe(LINE), Complement(LINE, FiniteSet(LINE, frozenset())),
+        FiniteSet(BoolSpace(), frozenset((False, True)))))
+    for source in (Universe(water), Universe(None)):
+        assert subset(source, covering)
+    # the pair is a candidate, as subset may hold on it
+    assert (0, 1) in set(subset_candidates([Universe(water), covering]))
+    level = Product(water, (Interval(LINE, 0, 5), Universe(LINE),
+                            Universe(BoolSpace())))
+    with pytest.raises(Undecidable):
+        subset(Universe(water), level)
 
 def test_product_arity_checked():
     ps = ProductSpace((LINE, LINE))

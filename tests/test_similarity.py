@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_similarity as ref
 from test_formula import _formulae
-from cosafe.formula import ASSERT, TABLE, Property, formula_similarity
+from cosafe.formula import (ANY, ASSERT, TABLE, Property,
+                            formula_similarity)
 from cosafe.models import (dial_model, lock_model, lock_properties,
                            puzzle_model, puzzle_property, swat_model,
                            swat_properties)
@@ -19,6 +20,7 @@ from cosafe.predicate import (BoolSpace, Complement, Empty, FiniteSet,
                               FiniteSpace, Intersection, Interval,
                               LinearLink, Product, ProductSpace, ScaledLine,
                               SpaceMismatch, Universe)
+from cosafe.syntax import SyntaxContext, parse_formula
 from cosafe.verify import order_properties
 
 INPUTS = ("a", "b")
@@ -144,6 +146,38 @@ def test_relation_matches_reference_on_an_infinite_product(formulas):
 @example(_obs(NO_POINTS, SECOND_TRUE))
 def test_relation_matches_reference_on_a_finite_product(formulas):
     _same(formulas)
+
+
+def _covering(space):
+    """Products over space whose every component covers its space."""
+    def covers(c):
+        if c == BOOL:
+            return st.sampled_from([
+                Universe(BOOL), FiniteSet(BOOL, frozenset((False, True))),
+                Complement(BOOL, FiniteSet(BOOL, frozenset()))])
+        return st.sampled_from([Universe(c),
+                                Complement(c, FiniteSet(c, frozenset()))])
+    return st.tuples(*map(covers, space.components)).map(
+        lambda cs: Product(space, cs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_covering(WATER), _product_preds(WATER),
+                          st.just(ANY)), min_size=2, max_size=6))
+@example([ANY, EITHER_BOOL])
+def test_covering_products_match_reference(preds):
+    # tt, and a product that constrains no component, imply each other
+    _same(_obs(*preds))
+
+
+def test_covering_product_and_tt_imply_each_other():
+    water = swat_model()
+    ctx = SyntaxContext(water.observation_space, water.input_pred)
+    always = parse_formula("G tt", ctx)
+    either = parse_formula("G <(_,_,{true,false})>", ctx)
+    rel = formula_similarity([always, either], water.inputs)
+    assert {(always, either), (either, always)} <= rel
+    assert rel == ref.formula_similarity([always, either], water.inputs)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from cosafe import coalgebra, formula
 
 from cosafe.closure import (BOTH, EQUIVARIANT, IMAGE, LITERAL, PRESERVING,
-                            AlgebraicOperator, ClosureConfig, ClosureEngine,
-                            KnowledgeBase)
+                            REFLECTING, AlgebraicOperator, ClosureConfig,
+                            ClosureEngine, KnowledgeBase)
 from cosafe.coalgebra import System, Walk, behaviour_system
 from cosafe.formula import ASSERT, REFUTE, TABLE, Property, formula_similarity
 from cosafe.models import (dial_model, dial_eventually, lock_model,
@@ -22,10 +22,10 @@ from cosafe.verify import (DEFAULT_MAX_PAIRS, FAILS, HOLDS, INFERRED_FAILS,
                            order_properties, verify)
 
 
-def neq_body(sys, v):
+def neq_body(sys, *values):
     space = sys.observation_space
     return TABLE.mk_always(
-        TABLE.mk_obs(Complement(space, FiniteSet(space, frozenset((v,))))),
+        TABLE.mk_obs(Complement(space, FiniteSet(space, frozenset(values)))),
         sys.input_pred)
 
 
@@ -423,6 +423,10 @@ def test_verify_rejects_open_or_unguarded_formulae():
         with pytest.raises(ValueError):
             verify(d, 0, psi, kb, cfg)
         assert not kb.R and not kb.F
+        # check_many too, even where knowledge would answer the query
+        kb = KnowledgeBase(R=[(0, psi)])
+        with pytest.raises(ValueError):
+            check_many(d, 0, [Property("p", ASSERT, psi)], kb, cfg)
 
 
 def test_verify_rejects_an_engine_that_did_not_load_its_knowledge_base():
@@ -708,6 +712,107 @@ def test_check_many_walk_agrees_with_search(case, mode, data, max_pairs):
     kb_walk = KnowledgeBase(known_R, known_F)
     kb_search = KnowledgeBase(known_R, known_F)
     for x0 in starts:  # the second call meets the first one's knowledge
+        walked, kb_walk, _ = check_many(system, x0, props, kb_walk, cfg,
+                                        max_pairs=max_pairs)
+        searched, kb_search = searched_check_many(system, x0, props,
+                                                  kb_search, cfg, max_pairs)
+        assert show(walked) == show(searched)
+    assert (kb_walk.R, kb_walk.F) == (kb_search.R, kb_search.F)
+
+
+_LOCK_OPERATORS = {digits: lock_operators(digits) for digits in (2, 3)}
+
+
+@st.composite
+def scan_cases(draw):
+    """A system whose runs scan with failure knowledge: lock(2) or
+    lock(3) from a depth-first walk, or a one-input lasso of up to 40
+    states walked as a path, observed whole or as (x // width) mod m, so
+    that values repeat, three times in a row for width 3; operators
+    drawn from its symmetries, each declared reflecting, equivariant or
+    preserving; and G <.!=B> properties with up to three excluded
+    values, each asserted or refuted.  The value m is never observed,
+    so a B of it alone holds, and its run lists the whole walk."""
+    if draw(st.booleans()):
+        digits = draw(st.sampled_from((2, 3)))
+        base = lock_model(digits)
+        n = 10 ** digits
+        inputs, successors, step = base.inputs, base.successors, base.step
+        symmetries = list(_LOCK_OPERATORS[digits].values())
+    else:
+        n = draw(st.integers(2, 40))
+        back = draw(st.integers(0, n - 1))
+        nxt = [x + 1 for x in range(n - 1)] + [back]
+        inputs, successors, step = ("*",), None, lambda x, i: nxt[x]
+        symmetries = [AlgebraicOperator("turn%d" % k,
+                                        lambda x, k=k: (x + k) % n,
+                                        lambda v, k=k: v + k, EQUIVARIANT)
+                      for k in range(1, 4)]
+    m = draw(st.sampled_from((n, 3, 7)))
+    width = 1 if m == n else draw(st.sampled_from((1, 3)))
+    space = FiniteSpace(frozenset(range(m + 1)))
+    system = System("scan", inputs, lambda x: x // width % m, step,
+                    observation_space=space, successors=successors)
+    system.size = n
+    system.input_pred = Universe(FiniteSpace(frozenset(inputs)))
+    ops = []
+    for op in draw(st.lists(st.sampled_from(symmetries), unique=True,
+                            max_size=3)):
+        direction = draw(st.sampled_from((REFLECTING, EQUIVARIANT,
+                                          PRESERVING)))
+        # a lock operator's value map is a table of the n codes
+        ops.append(AlgebraicOperator(
+            op.name, op.state_map,
+            lambda v, f=op.obs_value_map: f(v) if v < n else v, direction,
+            input_map=op.input_map))
+    # excluded sets from a few values, so that bodies imply each other,
+    # and m among them, so that some run often lists the whole walk
+    pool = [m] + draw(st.lists(st.integers(0, m - 1), min_size=1,
+                               max_size=3, unique=True))
+    props = []
+    for k in range(draw(st.integers(1, 8))):
+        excluded = draw(st.sets(st.sampled_from(pool), min_size=1,
+                                max_size=3))
+        props.append(Property("p%d" % k, draw(st.sampled_from(
+            (ASSERT, REFUTE))), neq_body(system, *excluded)))
+    starts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+    return system, ops, starts, props
+
+
+# the walk stops at the first bad value, at the first state with a
+# successor known to fail, or at the budget; each is drawn often
+@settings(max_examples=300, deadline=None)
+@given(scan_cases(), st.sampled_from((IMAGE, BOTH)), st.data(),
+       st.sampled_from((1, 2, 5, 20, 100, DEFAULT_MAX_PAIRS)))
+def test_check_many_failure_scans_agree_with_search(case, mode, data,
+                                                     max_pairs):
+    # Failures come from the runs themselves, their images under the
+    # operators, implication edges from a body with more excluded values
+    # to one with fewer, and drawn known failures.  A drawn failure is
+    # every successor of one state, often a start state, so that the
+    # state's first failing successor in input order is the witness.
+    system, ops, starts, props = case
+    bodies = [p.body for p in props]
+    similar = sorted(formula_similarity(bodies, system.inputs))
+    implication = data.draw(st.one_of(
+        st.just(similar), st.lists(st.sampled_from(similar), unique=True)),
+        label="implication")
+    known_F = set()
+    for body in data.draw(st.lists(st.sampled_from(bodies), max_size=2),
+                          label="failing formulae"):
+        x = data.draw(st.one_of(st.sampled_from(starts),
+                                st.integers(0, system.size - 1)),
+                      label="state")
+        known_F.update((y, body) for y in system.successors(x))
+    cfg = ClosureConfig(ops, implication=implication, failure_mode=mode)
+
+    def show(results):
+        return [(p.name, v.outcome, v.counterexample, v.witness,
+                 v.stats.pairs_explored, v.stats.closure_hits,
+                 v.stats.subset_checks) for p, v in results]
+
+    kb_walk, kb_search = KnowledgeBase(F=known_F), KnowledgeBase(F=known_F)
+    for x0 in starts:
         walked, kb_walk, _ = check_many(system, x0, props, kb_walk, cfg,
                                         max_pairs=max_pairs)
         searched, kb_search = searched_check_many(system, x0, props,
