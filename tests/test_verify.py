@@ -821,6 +821,28 @@ def test_check_many_failure_scans_agree_with_search(case, mode, data,
     assert (kb_walk.R, kb_walk.F) == (kb_search.R, kb_search.F)
 
 
+
+@pytest.mark.parametrize("model, excluded, failing", [
+    # the dial lists 0-2, then 3-5; the third run asks for 4, listed
+    # after the first-position index last grew
+    ("dial", (2, 5, 4), ()),
+    # the first run lists all of lock(2), and 11 fails for the second:
+    # its first predecessor is 1 at position 1, its last 10
+    ("lock2", (100, 99), (11,)),
+])
+def test_walk_indexes_follow_the_walk(model, excluded, failing):
+    system = dial_model() if model == "dial" else lock_model(2)
+    props = [Property(str(v), ASSERT, neq_body(system, v)) for v in excluded]
+    known_F = {(y, props[-1].body) for y in failing}
+    walked, _, _ = check_many(system, 0, props, KnowledgeBase(F=known_F),
+                              ClosureConfig())
+    searched, _ = searched_check_many(system, 0, props,
+                                      KnowledgeBase(F=known_F),
+                                      ClosureConfig(), DEFAULT_MAX_PAIRS)
+    assert [(v.outcome, v.counterexample, v.witness, v.stats)
+            for _, v in walked] == [(v.outcome, v.counterexample, v.witness,
+                                     v.stats) for _, v in searched]
+
 def prefix_classes(system, k):
     """Each state's class of depth-k behaviour prefixes, by k rounds of
     naive refinement over all states: a state's depth-d class is its
