@@ -294,11 +294,14 @@ def _refine(states, values, succ, k):
     the successors' blocks), so after d rounds the blocks are the
     depth-d prefix classes.  Returns a dict of each state's block id
     after at most k rounds, and whether that partition is stable: one
-    more round would split no block."""
+    more round would split no block.  A partition into singletons is
+    stable, so refinement stops there without building another round."""
     ids = {}
     block = dict(zip(states, [ids.setdefault(v, len(ids)) for v in values]))
     for depth in range(k + 1):
         count = len(ids)
+        if count == len(states):
+            return block, True
         ids = {}
         get = block.__getitem__
         refined = [ids.setdefault((get(x), *map(get, row)), len(ids))

@@ -28,8 +28,8 @@ class FormulaTable:
 
     Per formula id it memoizes what does not change once the id exists:
     `shape` (closed, guarded), `obs`, `next` per input, `unfold`, the
-    compiled observation `check`, the values it `excluded`, and the
-    `reachable` set per input alphabet."""
+    compiled observation `check`, and per input alphabet the `reachable`
+    set and the facts a run reads (`run_facts`)."""
 
     def __init__(self):
         self._ids = {}
@@ -38,8 +38,8 @@ class FormulaTable:
         self._next_cache = {}
         self._unfold_cache = {}
         self._check_cache = {}
-        self._excluded_cache = {}
         self._reach_cache = {}
+        self._run_cache = {}
         self._subst_cache = {}
         self._shape_cache = {}
 
@@ -196,17 +196,6 @@ class FormulaTable:
             out = self._check_cache[fid] = member_fn(self.obs(fid))
         return out
 
-    def excluded(self, fid):
-        """The set B when obs(fid) is Complement(FiniteSet(B)), the
-        values check(fid) rejects, as in every G <.!=n>; else None."""
-        cache = self._excluded_cache
-        if fid not in cache:
-            allowed = self.obs(fid)
-            cache[fid] = (allowed.inner.values
-                          if isinstance(allowed, Complement)
-                          and isinstance(allowed.inner, FiniteSet) else None)
-        return cache[fid]
-
     def next(self, fid, i):
         """Obligation after input i."""
         key = (fid, i)
@@ -245,6 +234,27 @@ class FormulaTable:
                     seen.add(g)
                     todo.append(g)
         out = self._reach_cache[key] = frozenset(seen)
+        return out
+
+    def run_facts(self, fid, inputs):
+        """What a verifier run of fid under the inputs (a tuple) reads
+        first, kept per (fid, inputs): whether its nodes are bare states
+        (reachable(fid, inputs) == {fid}), check(fid), and the set B when
+        obs(fid) is Complement(FiniteSet(B)), the values check(fid)
+        rejects, as in every G <.!=n> (else None).  A formula that is not
+        closed and guarded raises ValueError, on every call."""
+        key = (fid, inputs)
+        out = self._run_cache.get(key)
+        if out is not None:
+            return out
+        if self.shape(fid) != (True, True):
+            raise ValueError("a run needs a closed, guarded formula (id %d)"
+                             % fid)
+        allowed = self.obs(fid)
+        excluded = (allowed.inner.values if isinstance(allowed, Complement)
+                    and isinstance(allowed.inner, FiniteSet) else None)
+        out = self._run_cache[key] = (len(self.reachable(fid, inputs)) == 1,
+                                      self.check(fid), excluded)
         return out
 
 

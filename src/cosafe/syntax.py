@@ -29,7 +29,8 @@ or a link: '.' comparisons and set literals constrain one component, so
 they are written inside '(' comp, ... ')'.  'link' names two
 integer-line components of a product space by index.  Values are parsed
 by the model context (integers by default, 'true'/'false' on boolean
-components).
+components); a value in a box names the input whose printed form it is,
+such as '*', the one input of the dial and the water model.
 """
 
 import re
@@ -39,7 +40,7 @@ from .predicate import (BoolSpace, Complement, FiniteSet, Interval,
                         LinearLink, Product, ProductSpace, ScaledLine,
                         Universe, complement)
 
-_TOKEN = re.compile(r"\s*([A-Za-z0-9\-]+|!=|>=|<=|[<>\[\]{}().&!=,_])")
+_TOKEN = re.compile(r"\s*([A-Za-z0-9\-]+|!=|>=|<=|[<>\[\]{}().&!=,_*])")
 
 
 class SyntaxContext:
@@ -163,7 +164,7 @@ class _Parser:
                 raise FormulaSyntaxError(str(e))
         if tok == "[":
             self.take()
-            pred = self.box_pred()
+            pred = self.pred(input_space=True)  # see value
             self.take("]")
             return TABLE.mk_box(pred, self.term())
         if tok == "<":
@@ -236,20 +237,18 @@ class _Parser:
             return Product(space, tuple(comps))
         raise FormulaSyntaxError("unexpected token %r in predicate" % tok)
 
-    def box_pred(self):
-        """A box predicate: every value it names is one of the model's
-        inputs."""
-        pred = self.pred(input_space=True)
-        named = pred.inner if isinstance(pred, Complement) else pred
-        if isinstance(named, FiniteSet):
-            alphabet = pred.space.enumerate()
-            unknown = named.values - alphabet
-            if unknown:
-                raise FormulaSyntaxError(
-                    "%s not among the model's inputs %s"
-                    % (", ".join(sorted(map(repr, unknown))),
-                       sorted(alphabet, key=repr)))
-        return pred
+    def value(self, space, idx):
+        """The value the next token names: in a box, the input whose
+        printed form it is; otherwise as the context parses it."""
+        tok = self.take()
+        if space is not self.ctx.input_pred.space:
+            return self.ctx.parse_value(tok, idx)
+        alphabet = space.enumerate()
+        for i in alphabet:
+            if self.ctx.print_value(i) == tok:
+                return i
+        raise FormulaSyntaxError("%s not among the model's inputs %s"
+                                 % (tok, sorted(alphabet, key=repr)))
 
     def integer(self):
         tok = self.take()
@@ -286,9 +285,9 @@ class _Parser:
         op = self.take()
         if op == "in":
             self.take("[")
-            lo = self.ctx.parse_value(self.take(), idx)
+            lo = self.value(space, idx)
             self.take(",")
-            hi = self.ctx.parse_value(self.take(), idx)
+            hi = self.value(space, idx)
             self.take("]")
             if not isinstance(space, ScaledLine):
                 raise FormulaSyntaxError("'in' needs an integer-line component")
@@ -297,7 +296,7 @@ class _Parser:
             return Interval(space, lo, hi)
         if op not in ("=", "!=", ">=", "<="):
             raise FormulaSyntaxError("unknown comparison %r" % op)
-        v = self.ctx.parse_value(self.take(), idx)
+        v = self.value(space, idx)
         if op == "=":
             return FiniteSet(space, frozenset((v,)))
         if op == "!=":
@@ -310,10 +309,10 @@ class _Parser:
 
     def setlit(self, space, idx):
         self.take("{")
-        vals = [self.ctx.parse_value(self.take(), idx)]
+        vals = [self.value(space, idx)]
         while self.peek() == ",":
             self.take()
-            vals.append(self.ctx.parse_value(self.take(), idx))
+            vals.append(self.value(space, idx))
         self.take("}")
         return FiniteSet(space, frozenset(vals))
 

@@ -19,42 +19,49 @@ what the exploration statistics measure.
 
 check_many explores each system once: its runs share one
 coalgebra.Walk, the states reachable from x0 in the loop's own pop
-order.  Whether a run scans the walk instead of searching is decided in
-one place, `_scan`, which check_many calls on each run that its
-prescreen did not answer, before any search set-up: a run scans when
-only failure knowledge can steer it, that is, its nodes are bare states,
-the literal failure check is off, no tentative closure applies, and no
-implicant of the formula is committed anywhere.  Under those conditions
-the loop skips nothing and pushes every unseen successor in input
-order, so it pops exactly the walk's states until it expands a state
-with a successor in its failing set (the states where a formula it
-implies is known to fail); it pushes that successor last and pops it
-next.  The scan therefore gives the loop's verdict and counters: Fails
-at the first bad observation, with its position plus 1 as pairs
-explored; InferredFails at the first state j that steps into the
-failing set, with j + 2 pairs, 1 hit and the first such successor in
-input order as witness (1 pair when x0 itself fails); Holds after the
-whole walk; Unknown past the budget.  It commits the same pairs; a
-scanned Holds commits them as one fact, the formula holds at every
-state reachable from x0.  A run writes each fact once, through the
-closure engine to the knowledge base the engine loaded.
+order.  Each run is decided in one pass by one helper, `_decide`, which
+check_many calls before any search set-up.  It first pre-screens the
+initial pair against the closure of the knowledge, asking the closure
+only where a fact can fire: whether the pair is satisfied only when an
+implicant of the formula is committed, or is the image of a committed
+pair; whether it fails only when a formula it implies is known to fail
+somewhere, or the literal failure check is on and some pair is known to
+fail.  A pair the closure shows failing is also what the loop finds
+first, so that verdict (1 pair, 1 hit) is the loop's too.  Then a run
+scans the walk instead of searching when only failure knowledge can
+steer it, that is, its nodes are bare states, the literal failure check
+is off, no tentative closure applies, and no implicant of the formula
+is committed anywhere.  Under those conditions the loop skips nothing
+and pushes every unseen successor in input order, so it pops exactly
+the walk's states until it expands a state with a successor in its
+failing set (the states where a formula it implies is known to fail);
+it pushes that successor last and pops it next.  The scan therefore
+gives the loop's verdict and counters: Fails at the first bad
+observation, with its position plus 1 as pairs explored; InferredFails
+at the first state j that steps into the failing set, with j + 2 pairs,
+1 hit and the first such successor in input order as witness; Holds
+after the whole walk; Unknown past the budget.  It commits the same
+pairs; a scanned Holds commits them as one fact, the formula holds at
+every state reachable from x0.  A run writes each fact once, through
+the closure engine to the knowledge base the engine loaded.
 
 A scan reads the listed part of the walk through two position indexes
 the walk keeps for all the runs of one check_many: the first bad state
 of an obligation <.!=B> (its observation predicate is
-Complement(FiniteSet(B)), TABLE.excluded) is the least first position
-of a value in B, and the first state stepping into the failing set is
-the least first predecessor of its states.  Each index is built only
-when a run of that kind comes, so a system whose runs ask neither, like
-the water plant, builds none.  Past the listed part the walk lists on
-with the compiled check.
+Complement(FiniteSet(B)); TABLE.run_facts gives B) is the least first
+position of a value in B, and the first state stepping into the failing
+set is the least first predecessor of its states.  Each index is built
+only when a run of that kind comes, so a system whose runs ask neither,
+like the water plant, builds none.  Past the listed part the walk lists
+on with the compiled check.
 
 Every observation check, in a search or a scan, is the function that
 predicate.member_fn compiles from the formula's observation predicate,
 applied to the state's value.  It is compiled once per formula id and
-kept by the formula table (TABLE.check), as is each formula's reachable
-set (TABLE.reachable), so the runs of check_many, and the check_many
-calls quantify makes per attacked system, share them.  Direct calls of
+kept by the formula table (TABLE.check), as are each formula's
+reachable set (TABLE.reachable) and the facts a run reads first
+(TABLE.run_facts), so the runs of check_many, and the check_many calls
+quantify makes per attacked system, share them.  Direct calls of
 verify search, unless given the walk to scan (_walk).
 """
 
@@ -63,7 +70,7 @@ from heapq import heapify, heappop, heappush
 
 from .closure import BOTH, IMAGE, LITERAL, ClosureEngine, _op_chains
 from .coalgebra import Walk
-from .formula import ASSERT, TABLE
+from .formula import ASSERT, REFUTE, TABLE
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -105,16 +112,16 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     algorithm's contract (commit R on success, record only direct
     counterexamples in F on failure).  psi0 must be closed and guarded,
     and an engine passed must have loaded kb (ValueError otherwise).
-    Given _walk, the walk of (sys, x0), the run scans it when `_scan`
+    Given _walk, the walk of (sys, x0), the run scans it when `_decide`
     says it may, as a run of check_many does."""
-    _require_shape(psi0)
+    bare = TABLE.run_facts(psi0, sys.inputs)[0]
     if engine is None:
         engine = ClosureEngine(cfg)
         engine.load(kb)
     elif engine.kb is not kb:
         raise ValueError("the closure engine did not load this knowledge base")
     if _walk is not None:
-        verdict = _scan(_walk, x0, psi0, cfg, engine, max_pairs)
+        verdict = _decide(_walk, x0, psi0, cfg, engine, max_pairs)
         if verdict is not None:
             return verdict, kb
 
@@ -126,7 +133,7 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
     observe = sys.observe_value
     successors = sys.successors
 
-    if len(reach) == 1:
+    if bare:
         # a node is a bare state
         node0 = x0
         check = checks[psi0]
@@ -262,52 +269,66 @@ def verify(sys, x0, psi0, kb, cfg, engine=None, max_pairs=DEFAULT_MAX_PAIRS,
                      hits, map(pair_of, done))
 
 
-def _require_shape(psi0):
-    if TABLE.shape(psi0) != (True, True):
-        raise ValueError("verify needs a closed, guarded formula (id %d)"
-                         % psi0)
+def _decide(walk, x0, psi0, cfg, engine, max_pairs, refute=False,
+            screen=False):
+    """The verdict of the run of psi0 from x0, the root of `walk`, when
+    the closure answers it at (x0, psi0) or the run scans the walk (see
+    the module docstring), committed through the engine; None when the
+    run must search.  It is the verdict of the property that asserts
+    psi0, or with `refute` of the one that refutes it, whose witness is
+    then the run's counterexample or witness.  ValueError unless psi0 is
+    closed and guarded.
 
-
-def _scan(walk, x0, psi0, cfg, engine, max_pairs):
-    """The verdict of the run of psi0 (closed and guarded) from x0, the
-    root of `walk`, committed through the engine, when the run scans the
-    walk (see the module docstring); None when it must search.  The
-    only formula of a run on bare states is psi0, so a tentative pair
-    derives more than its own node only through an operator."""
-    reach = TABLE.reachable(psi0, walk.sys.inputs)
+    The closure is asked only where a fact can fire: sat_hit, when
+    `screen`, only if an implicant of psi0 is committed or the image of
+    a committed pair, and fail_hit only if a formula psi0 implies is
+    known to fail somewhere, or the literal check is on and F is not
+    empty.  A fail_hit is also what the search loop finds first at x0,
+    so it gives the loop's verdict as well.  The only formula of a run
+    on bare states is psi0, so a tentative pair derives more than its
+    own node only through an operator."""
+    bare, check, excluded = TABLE.run_facts(psi0, walk.sys.inputs)
+    sat = engine.kb.sat
+    implicants, committed = None, False
+    if sat:  # else no pair is committed, nor is any image of one
+        implicants = cfg.implicants_of(psi0)
+        committed = not (implicants.isdisjoint(engine.sat_formulae)
+                         and sat.keys().isdisjoint(implicants))
     mode = cfg.failure_mode
-    # reach always holds psi0, so one formula in it means reach == {psi0}
-    if len(reach) > 1 or mode == LITERAL or (mode == BOTH
-                                              and engine.literal_ops):
-        return None
-    implicants = cfg.implicants_of(psi0)
-    if not (implicants.isdisjoint(engine.sat_formulae)
-            and engine.kb.sat.keys().isdisjoint(implicants)):
-        return None
-    if cfg.operators and _tentative_ops(cfg, reach, implicants):
-        return None
+    literal = mode == LITERAL or mode == BOTH and bool(engine.literal_ops)
     failing = None
+    fail_index = engine.fail_index
     for g in cfg.implied_by(psi0):
-        states = engine.fail_index.get(g)
+        states = fail_index.get(g)
         if states:
             failing = states if failing is None else failing | states
-    if failing and x0 in failing:
-        return Verdict(INFERRED_FAILS, None, (x0, psi0), Stats(1, 1, 0))
-    check = TABLE.check(psi0)
-    at = walk.find(check, max_pairs, TABLE.excluded(psi0), failing)
-    if at == len(walk.states):  # seen is every reachable state
-        engine.note_satisfied_everywhere(walk.seen, psi0)
-        return Verdict(HOLDS, None, None, Stats(at, 0, at))
-    if at == max_pairs:
-        return Verdict(UNKNOWN, None, None, Stats(at + 1, 0, at))
-    if not check(walk.values[at]):
-        bad = (walk.states[at], psi0)
-        engine.note_failed(bad)
-        return Verdict(FAILS, bad, None, Stats(at + 1, 0, at + 1))
-    # the state at `at` steps into failing: the loop pops that successor
-    return Verdict(INFERRED_FAILS, None,
-                   (walk.successor_in(at, failing), psi0),
-                   Stats(at + 2, 1, at + 1))
+    bad = witness = None
+    if committed and screen and engine.sat_hit((x0, psi0)):
+        outcome, witness, stats = INFERRED_HOLDS, (x0, psi0), Stats(1, 1, 0)
+    elif (failing or literal and engine.kb.F) and engine.fail_hit((x0, psi0)):
+        outcome, witness, stats = INFERRED_FAILS, (x0, psi0), Stats(1, 1, 0)
+    elif not bare or literal or committed or cfg.operators and _tentative_ops(
+            cfg, (psi0,), implicants or cfg.implicants_of(psi0)):
+        return None
+    else:
+        at = walk.find(check, max_pairs, excluded, failing)
+        if at == len(walk.states):  # seen is every reachable state
+            engine.note_satisfied_everywhere(walk.seen, psi0)
+            outcome, stats = HOLDS, Stats(at, 0, at)
+        elif at == max_pairs:
+            outcome, stats = UNKNOWN, Stats(at + 1, 0, at)
+        elif not check(walk.values[at]):
+            outcome, bad = FAILS, (walk.states[at], psi0)
+            stats = Stats(at + 1, 0, at + 1)
+            engine.note_failed(bad)
+        else:
+            # the state at `at` steps into failing: the loop pops that
+            # successor
+            outcome, stats = INFERRED_FAILS, Stats(at + 2, 1, at + 1)
+            witness = (walk.successor_in(at, failing), psi0)
+    if refute:
+        return Verdict(_NEGATED[outcome], None, bad or witness, stats)
+    return Verdict(outcome, bad, witness, stats)
 
 
 def _tentative_ops(cfg, reach, targets):
@@ -373,12 +394,12 @@ def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
     """Check an ordered list of properties, threading the knowledge base.
 
     Each property's body must be closed and guarded (ValueError
-    otherwise).  Each property is first pre-screened at the initial pair
-    against the closure of accumulated knowledge; a hit yields an
-    Inferred verdict with no exploration (recorded as 1 pair).  Else its
-    run scans the walk the runs share when `_scan` says it may, and
-    searches otherwise.  Returns (results, kb, inferred_count) where
-    results is a list of (Property, Verdict)."""
+    otherwise).  Each run is decided by one helper, `_decide`: the
+    closure of accumulated knowledge answers it at the initial pair with
+    an Inferred verdict and no exploration (recorded as 1 pair), asked
+    only where a fact can fire; else the run scans the walk the runs
+    share when it may, and searches otherwise.  Returns (results, kb,
+    inferred_count) where results is a list of (Property, Verdict)."""
     engine = ClosureEngine(cfg)
     engine.load(kb)
     # the states reachable from x0, explored once for every run below
@@ -386,20 +407,12 @@ def check_many(sys, x0, props, kb, cfg, max_pairs=DEFAULT_MAX_PAIRS):
     results = []
     inferred = 0
     for prop in props:
-        _require_shape(prop.body)
-        pair = (x0, prop.body)
-        if engine.sat_hit(pair):
-            inner = Verdict(INFERRED_HOLDS, witness=pair,
-                            stats=Stats(pairs_explored=1, closure_hits=1))
-        elif engine.fail_hit(pair):
-            inner = Verdict(INFERRED_FAILS, witness=pair,
-                            stats=Stats(pairs_explored=1, closure_hits=1))
-        else:
-            inner = _scan(walk, x0, prop.body, cfg, engine, max_pairs)
-            if inner is None:
-                inner, kb = verify(sys, x0, prop.body, kb, cfg,
-                                   engine=engine, max_pairs=max_pairs)
-        verdict = _property_verdict(prop, inner)
+        verdict = _decide(walk, x0, prop.body, cfg, engine, max_pairs,
+                          prop.polarity == REFUTE, True)
+        if verdict is None:
+            inner, kb = verify(sys, x0, prop.body, kb, cfg, engine=engine,
+                               max_pairs=max_pairs)
+            verdict = _property_verdict(prop, inner)
         if verdict.inferred():
             inferred += 1
         results.append((prop, verdict))

@@ -441,3 +441,81 @@ def test_swat_experiment_structure(capsys):
     assert by_key[("Con", "gamma")][1] == "True"
     doc = json.loads("{" + json_part)
     assert sorted(doc["hasse"]) == [["beta", "alpha"], ["gamma", "alpha"]]
+
+
+@pytest.mark.parametrize("state", ("0", "3", "7"))
+def test_check_box_over_the_star_input(capsys, state):
+    # '*' is the dial's one input, so the box holds its body after every
+    # step, and G [{*}] <.!=3> fails exactly where G <.!=3> does
+    outcomes = []
+    for prop in ("G [{*}] <.!=3>", "G <.!=3>"):
+        code, out, err = run(capsys, "check", "--model", "dial", "--state",
+                             state, prop)
+        assert (code, err) == (0, "")
+        outcomes.append(json.loads(out)["outcome"])
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "dial", "G [{*,x}] <.!=3>"),
+    ("--model", "swat", "G [.=3] tt"),
+    ("--model", "lock", "--digits", "2", "G [{7}] <.!=3>"),
+])
+def test_check_unknown_box_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (2, "")
+    assert "not among the model's inputs" in err and err.count("\n") == 1
+
+
+# property texts from the grammar, over values of the dial, lock(2) and
+# their inputs, and junk from the grammar's own characters
+VALUE = st.sampled_from(("0", "1", "3", "7", "99", "*", "x", "-1", "true"))
+PRED = st.one_of(
+    st.just("tt"),
+    st.tuples(st.sampled_from((".=", ".!=", ".>=", ".<=")), VALUE).map(
+        "".join),
+    st.tuples(VALUE, VALUE).map(lambda vs: ".in[%s,%s]" % vs),
+    st.lists(VALUE, min_size=1, max_size=3).map(
+        lambda vs: "{%s}" % ",".join(vs)),
+    st.lists(VALUE, min_size=1, max_size=2).map(
+        lambda vs: "!{%s}" % ",".join(vs)))
+TERM = st.recursive(
+    st.one_of(st.just("tt"), st.just("v"), PRED.map("<%s>".__mod__)),
+    lambda kids: st.one_of(
+        kids.map("G %s".__mod__),
+        st.tuples(PRED, kids).map(lambda pk: "[%s] %s" % pk),
+        kids.map("nu v. %s".__mod__),
+        st.tuples(kids, kids).map(lambda ab: "(%s & %s)" % ab)),
+    max_leaves=5)
+PROPERTY = st.one_of(
+    TERM, TERM.map("! %s".__mod__), PRED.map("F <%s>".__mod__),
+    st.text("<>[]{}().&!=,_*Gvtnu F.0137x", max_size=14))
+
+
+def flag(name, values):
+    """An optional flag with a value drawn from values."""
+    return st.none() | st.sampled_from(values).map(lambda v: (name, v))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(("dial", "lock")), PROPERTY, st.tuples(
+    flag("--state", ("0", "5", "99", "100", "-1", "x")),
+    flag("--digits", ("2", "1", "0", "7", "x", "2.5")),
+    flag("--max-pairs", ("1", "3", "50", "0", "-2", "x")),
+    flag("--failure-inference", ("literal", "image", "both", "all"))))
+def test_check_exit_codes(capsys, model, prop, flags):
+    # every input ends in 0, 1 or 2 without a traceback, and 1 (the code
+    # of Unknown) only with an Unknown outcome
+    if flags[1] is None:
+        flags += (("--digits", "2"),)  # lock(2), not the default lock(4)
+    argv = ["--model", model] + [a for f in flags if f for a in f]
+    code, out, err = run(capsys, "check", *argv, "--", prop)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert json.loads(out)["outcome"] == "Unknown"
+    elif code == 0:
+        assert err == "" and json.loads(out)["outcome"] != "Unknown"
+    else:
+        assert out == "" and err.startswith("error: ")

@@ -4,7 +4,7 @@ from cosafe.formula import ASSERT, REFUTE, TABLE
 from cosafe.models import (dial_model, lock_model, swat_model,
                            swat_properties)
 from cosafe.predicate import (Complement, FiniteSet, Interval, LinearLink,
-                              Product, Universe)
+                              Product, Universe, complement)
 from cosafe.syntax import (FormulaSyntaxError, SyntaxContext, parse_formula,
                            parse_property, print_formula, print_pred,
                            print_property)
@@ -127,13 +127,29 @@ def test_parse_box_over_inputs():
                           ("[!{0}] tt", Complement(inputs, FiniteSet(
                               inputs, frozenset((0,))))),
                           ("[{0,1}] tt", FiniteSet(inputs,
-                                                   frozenset((0, 1))))):
+                                                   frozenset((0, 1)))),
+                          ("[{1}] tt", FiniteSet(inputs, frozenset((1,))))):
         assert TABLE.node(parse_formula(text, ctx))[1] == allowed
+
+
+@pytest.mark.parametrize("model", ("dial", "swat"))
+def test_box_over_the_star_input_round_trips(model, dial_ctx, swat_ctx):
+    # '*' is the one input of the dial and the water model: a box over
+    # it prints as the input's printed form and parses back to it
+    ctx = dial_ctx if model == "dial" else swat_ctx
+    star = FiniteSet(ctx.input_pred.space, frozenset(("*",)))
+    obs = TABLE.tt() if model == "swat" else parse_formula("<.!=3>", ctx)
+    for f in (TABLE.mk_always(TABLE.mk_box(star, obs), ctx.input_pred),
+              TABLE.mk_box(complement(star), TABLE.tt())):
+        assert parse_formula(print_formula(f, ctx), ctx) == f
+    assert parse_formula("G [{*}] tt", ctx) == parse_formula("G [.=*] tt",
+                                                            ctx)
 
 
 def test_print_parse_roundtrip_dial(dial_ctx):
     for text in ("tt", "<.=3>", "<.!=3>", "G <.!=4>", "F <.=4>",
-                 "<{1,2}> & G <.!=0>", "[tt] <.=1>",
+                 "<{1,2}> & G <.!=0>", "[tt] <.=1>", "G [{*}] <.!=3>",
+                 "[!{*}] <.=1>",
                  "nu v. (<{1,2}> & [tt] (v & <.!=0>))"):
         prop = parse_property(text, dial_ctx)
         printed = print_property(prop, dial_ctx)

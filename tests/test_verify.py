@@ -21,6 +21,8 @@ from cosafe.verify import (DEFAULT_MAX_PAIRS, FAILS, HOLDS, INFERRED_FAILS,
                            _property_verdict, check_many, check_property,
                            order_properties, verify)
 
+verify_module = importlib.import_module("cosafe.verify")
+
 
 def neq_body(sys, *values):
     space = sys.observation_space
@@ -423,10 +425,12 @@ def test_verify_rejects_open_or_unguarded_formulae():
         with pytest.raises(ValueError):
             verify(d, 0, psi, kb, cfg)
         assert not kb.R and not kb.F
-        # check_many too, even where knowledge would answer the query
+        # check_many too, even where knowledge would answer the query,
+        # and again: the rejection is not remembered as an answer
         kb = KnowledgeBase(R=[(0, psi)])
-        with pytest.raises(ValueError):
-            check_many(d, 0, [Property("p", ASSERT, psi)], kb, cfg)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                check_many(d, 0, [Property("p", ASSERT, psi)], kb, cfg)
 
 
 def test_verify_rejects_an_engine_that_did_not_load_its_knowledge_base():
@@ -780,9 +784,11 @@ def scan_cases(draw):
 
 
 # the walk stops at the first bad value, at the first state with a
-# successor known to fail, or at the budget; each is drawn often
+# successor known to fail, or at the budget; each is drawn often.  Runs
+# scan only in the first two modes; literal runs are answered by the
+# prescreen or search
 @settings(max_examples=300, deadline=None)
-@given(scan_cases(), st.sampled_from((IMAGE, BOTH)), st.data(),
+@given(scan_cases(), st.sampled_from((IMAGE, BOTH, LITERAL)), st.data(),
        st.sampled_from((1, 2, 5, 20, 100, DEFAULT_MAX_PAIRS)))
 def test_check_many_failure_scans_agree_with_search(case, mode, data,
                                                      max_pairs):
@@ -791,6 +797,11 @@ def test_check_many_failure_scans_agree_with_search(case, mode, data,
     # to one with fewer, and drawn known failures.  A drawn failure is
     # every successor of one state, often a start state, so that the
     # state's first failing successor in input order is the witness.
+    # Confirmed pairs are drawn as they are, or as the preimage of a
+    # body at a start or any state under a preserving operator, whose
+    # image then sits in the engine's sat_index and sat_formulae only.
+    # A committed implicant, or such an image, makes a run be answered
+    # by the prescreen or search.
     system, ops, starts, props = case
     bodies = [p.body for p in props]
     similar = sorted(formula_similarity(bodies, system.inputs))
@@ -804,6 +815,25 @@ def test_check_many_failure_scans_agree_with_search(case, mode, data,
                                 st.integers(0, system.size - 1)),
                       label="state")
         known_F.update((y, body) for y in system.successors(x))
+    known_R = set()
+    preserving = [op for op in ops if op.preserves()]
+    for body in data.draw(st.lists(st.sampled_from(bodies), max_size=2),
+                          label="confirmed formulae"):
+        x = data.draw(st.one_of(st.sampled_from(starts),
+                                st.integers(0, system.size - 1)),
+                      label="confirmed state")
+        if preserving and data.draw(st.booleans(), label="preimage"):
+            op = data.draw(st.sampled_from(preserving), label="under")
+            excluded = TABLE.run_facts(body, system.inputs)[2]
+            pre = neq_body(system, *(
+                v for v in system.observation_space.values
+                if op.obs_value_map(v) in excluded))
+            if op.map_formula(pre) == body:
+                body = pre
+                x = next(y for y in range(system.size)
+                         if op.state_map(y) == x)
+        known_R.add((x, body))
+    known_F -= known_R
     cfg = ClosureConfig(ops, implication=implication, failure_mode=mode)
 
     def show(results):
@@ -811,7 +841,8 @@ def test_check_many_failure_scans_agree_with_search(case, mode, data,
                  v.stats.pairs_explored, v.stats.closure_hits,
                  v.stats.subset_checks) for p, v in results]
 
-    kb_walk, kb_search = KnowledgeBase(F=known_F), KnowledgeBase(F=known_F)
+    kb_walk = KnowledgeBase(known_R, known_F)
+    kb_search = KnowledgeBase(known_R, known_F)
     for x0 in starts:
         walked, kb_walk, _ = check_many(system, x0, props, kb_walk, cfg,
                                         max_pairs=max_pairs)
@@ -820,6 +851,33 @@ def test_check_many_failure_scans_agree_with_search(case, mode, data,
         assert show(walked) == show(searched)
     assert (kb_walk.R, kb_walk.F) == (kb_search.R, kb_search.F)
 
+
+
+@pytest.mark.parametrize("mode", (LITERAL, BOTH))
+def test_check_many_prescreen_answers_before_any_search(mode, monkeypatch):
+    # add maps (0, G <.!=5>) to (1, G <.!=6>), a known failure: in
+    # literal mode the closure answers the run at its start pair, though
+    # no formula G <.!=5> implies is known to fail anywhere; in both
+    # mode add is equivariant, so the image direction finds nothing and
+    # the run scans.  Neither searches.
+    lock = lock_model(2)
+    add = lock_operators(2)["add"]
+    body = neq_body(lock, 5)
+    known_F = {(1, neq_body(lock, 6))}
+    searched = []
+    monkeypatch.setattr(verify_module, "verify",
+                        lambda *args, **kw: searched.append(args))
+    results, kb, inferred = check_many(
+        lock, 0, [Property("!=5", ASSERT, body)], KnowledgeBase(F=known_F),
+        ClosureConfig([add], failure_mode=mode))
+    (_, verdict), = results
+    assert searched == []
+    if mode == LITERAL:
+        assert (verdict.outcome, verdict.witness, verdict.stats,
+                inferred) == (INFERRED_FAILS, (0, body), Stats(1, 1, 0), 1)
+    else:
+        assert (verdict.outcome, verdict.counterexample[1],
+                inferred) == (FAILS, body, 0)
 
 
 @pytest.mark.parametrize("model, excluded, failing", [
