@@ -276,17 +276,12 @@ def _decide(walk, x0, psi0, cfg, engine, max_pairs, refute=False,
     the module docstring), committed through the engine; None when the
     run must search.  It is the verdict of the property that asserts
     psi0, or with `refute` of the one that refutes it, whose witness is
-    then the run's counterexample or witness.  ValueError unless psi0 is
-    closed and guarded.
-
-    The closure is asked only where a fact can fire: sat_hit, when
-    `screen`, only if an implicant of psi0 is committed or the image of
-    a committed pair, and fail_hit only if a formula psi0 implies is
-    known to fail somewhere, or the literal check is on and F is not
-    empty.  A fail_hit is also what the search loop finds first at x0,
-    so it gives the loop's verdict as well.  The only formula of a run
-    on bare states is psi0, so a tentative pair derives more than its
-    own node only through an operator."""
+    then the run's counterexample or witness.  Only with `screen` is the
+    pair checked for known satisfaction, which the search loop would not
+    report as a prescreen does; a known failure at the pair is the
+    loop's first find too.  The only formula of a run on bare states is
+    psi0, so a tentative pair derives more than its own node only
+    through an operator.  ValueError unless psi0 is closed and guarded."""
     bare, check, excluded = TABLE.run_facts(psi0, walk.sys.inputs)
     sat = engine.kb.sat
     implicants, committed = None, False

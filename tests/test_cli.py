@@ -443,12 +443,13 @@ def test_swat_experiment_structure(capsys):
     assert sorted(doc["hasse"]) == [["beta", "alpha"], ["gamma", "alpha"]]
 
 
+@pytest.mark.parametrize("obs", ("<.!=3>", "<.<=9>"))
 @pytest.mark.parametrize("state", ("0", "3", "7"))
-def test_check_box_over_the_star_input(capsys, state):
+def test_check_box_over_the_star_input(capsys, state, obs):
     # '*' is the dial's one input, so the box holds its body after every
-    # step, and G [{*}] <.!=3> fails exactly where G <.!=3> does
+    # step, and G [{*}] <Q> has the verdict of G <Q>
     outcomes = []
-    for prop in ("G [{*}] <.!=3>", "G <.!=3>"):
+    for prop in ("G [{*}] " + obs, "G " + obs):
         code, out, err = run(capsys, "check", "--model", "dial", "--state",
                              state, prop)
         assert (code, err) == (0, "")

@@ -852,7 +852,6 @@ def test_check_many_failure_scans_agree_with_search(case, mode, data,
     assert (kb_walk.R, kb_walk.F) == (kb_search.R, kb_search.F)
 
 
-
 @pytest.mark.parametrize("mode", (LITERAL, BOTH))
 def test_check_many_prescreen_answers_before_any_search(mode, monkeypatch):
     # add maps (0, G <.!=5>) to (1, G <.!=6>), a known failure: in
